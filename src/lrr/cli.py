@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from . import cluster, matio, metrics, recipes, solver
+from . import cluster, matio, metrics, recipes, solver, synth
 from .errors import NumericalError, UndefinedMetricError
 
 SCHEMA_VERSION = 1
@@ -58,7 +58,7 @@ def _add_io_args(p):
     p.add_argument("--header", action="store_true",
                    help="input CSVs carry a header row")
     p.add_argument("--normalize", action="store_true",
-                   help="min-max rescale input entries to [0, 1] before solving")
+                   help="scale every input column to unit length before solving")
 
 
 def build_parser():
@@ -100,13 +100,6 @@ def build_parser():
     return ap
 
 
-def _normalize_unit(X):
-    lo, hi = X.min(), X.max()
-    if hi == lo:
-        return np.zeros_like(X)
-    return (X - lo) / (hi - lo)
-
-
 def _solver_options(args):
     if args.lam is None and args.lambda_preset == "motion":
         lam = 4.0
@@ -123,11 +116,19 @@ def _solver_options(args):
 def _load_input(args):
     X = matio.read_matrix_csv(args.input, header=args.header)
     if args.normalize:
-        X = _normalize_unit(X)
+        X = X * synth.unit_column_scale(X)
     A = None
     if args.dictionary is not None:
         A = matio.read_matrix_csv(args.dictionary, header=args.header)
     return X, A
+
+
+def _solve(args):
+    X, A = _load_input(args)
+    opts = _solver_options(args)
+    if A is None:
+        return solver.solve_lrr_self(X, args.model, opts)
+    return solver.solve_lrr(X, A, args.model, opts)
 
 
 def _jsonable(value):
@@ -176,12 +177,7 @@ def _config_echo(args, skip=("output",)):
 
 def cmd_solve(args):
     started = time.perf_counter()
-    X, A = _load_input(args)
-    opts = _solver_options(args)
-    if A is None:
-        sol = solver.solve_lrr_self(X, args.model, opts)
-    else:
-        sol = solver.solve_lrr(X, A, args.model, opts)
+    sol = _solve(args)
     os.makedirs(args.output, exist_ok=True)
     matio.write_matrix_csv(os.path.join(args.output, "Z.csv"), sol.Z)
     matio.write_matrix_csv(os.path.join(args.output, "E.csv"), sol.E)
@@ -237,12 +233,7 @@ def cmd_segment(args):
 
 def cmd_detect_outliers(args):
     started = time.perf_counter()
-    X, A = _load_input(args)
-    opts = _solver_options(args)
-    if A is None:
-        sol = solver.solve_lrr_self(X, args.model, opts)
-    else:
-        sol = solver.solve_lrr(X, A, args.model, opts)
+    sol = _solve(args)
     scores = np.linalg.norm(sol.E, axis=0)
 
     outliers = None

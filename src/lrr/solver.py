@@ -9,8 +9,8 @@ where ``err`` is the column-wise l2,1 norm (sample-specific corruptions and
 outliers), the entrywise l1 norm (scattered corruptions), or the squared
 Frobenius norm (dense noise). :func:`solve_lrr_clean` is the closed-form
 pseudoinverse solution for error-free data, and :func:`solve_lrr_self` is the
-self-expressive mode (dictionary = data) with an automatic low-rank
-dictionary reduction.
+self-expressive mode (dictionary = data), always solved in the coordinates of
+the skinny SVD of X, where the minimizer lives.
 """
 
 import math
@@ -24,11 +24,6 @@ from .linalg import as_matrix, norm, pseudoinverse, skinny_svd, svt_with_nuclear
 from .linalg import column_shrink, entry_shrink
 
 ERROR_MODELS = ("l21", "l1", "frobenius_sq")
-
-# Use the reduced dictionary whenever rank(A) is clearly below the ambient
-# sizes; at that point the smaller per-iteration SVD pays for the upfront
-# orthogonalization.
-REDUCE_RANK_FRACTION = 0.8
 
 
 def error_norm(E, model):
@@ -131,10 +126,14 @@ def solve_lrr(X, A, model="l21", opts=None):
     n_a = A.shape[1]
 
     # (I + A^T A) is constant across sweeps and symmetric positive definite:
-    # factor it once. Failure is unreachable for finite A; keep the guard.
+    # factor it once. A^T A overflows for entries near 1e154 and beyond.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.eye(n_a) + A.T @ A
+    if not np.isfinite(gram).all():
+        raise NumericalError(f"I + A^T A overflows ({n_a}x{n_a}); rescale the data")
     try:
-        chol = scipy.linalg.cho_factor(np.eye(n_a) + A.T @ A)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+        chol = scipy.linalg.cho_factor(gram)
+    except scipy.linalg.LinAlgError as exc:
         raise NumericalError(f"factorization of I + A^T A failed ({n_a}x{n_a})") from exc
 
     lam = opts.lam
@@ -255,17 +254,26 @@ def solve_lrr_reduced(X, A, model="l21", opts=None, reduction=None):
 def solve_lrr_self(X, model="l21", opts=None):
     """Self-expressive solve with the data itself as dictionary (A = X).
 
-    Takes the reduced-dictionary fast path automatically when the rank of X
-    is small enough to lower the iteration cost.
+    The minimizer lies in the row space of X, so with ``X = U S V^T`` the
+    problem is solved exactly for ``Z = V Z'`` on the dictionary ``U S``.
+    For ``l21`` and ``frobenius_sq`` every iterate of E also stays in
+    span(U) and the penalty is invariant under U, so the ambient rows drop
+    out too: the solve runs on ``S V^T`` with dictionary ``diag(S)`` and
+    lifts ``E = U E'``. ``l1`` is not rotation-invariant and keeps the rows.
     """
     X = as_matrix(X, "X")
     if not X.any():
         raise DegenerateInputError("self-expressive solve needs a nonzero matrix")
-    d, n = X.shape
-    rd = reduce_dictionary(X)
-    if rd.r_A < REDUCE_RANK_FRACTION * min(d, n):
+    f = skinny_svd(X)
+    if model == "l1":
+        rd = ReducedDictionary(B=f.U * f.sigma, P_star=f.V, r_A=f.rank)
         return solve_lrr_reduced(X, X, model, opts, reduction=rd)
-    return solve_lrr(X, X, model, opts)
+    Xc = f.sigma[:, None] * f.V.T
+    rd = ReducedDictionary(B=np.diag(f.sigma), P_star=f.V, r_A=f.rank)
+    sol = solve_lrr_reduced(Xc, Xc, model, opts, reduction=rd)
+    E = f.U @ sol.E
+    feas = float(np.abs(X - X @ sol.Z - E).max())
+    return replace(sol, E=E, final_residuals=(feas, sol.final_residuals[1]))
 
 
 def lambda_outlier_default(X, gamma_star):

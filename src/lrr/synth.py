@@ -235,6 +235,13 @@ def add_noise(ds, level, seed=0):
                     ds.corrupted_indices, refresh_v0=False)
 
 
+def unit_column_scale(X):
+    """Per-column factors ``1 / ||x_j||`` that give every nonzero column of
+    ``X`` unit Euclidean norm; zero columns get factor 1."""
+    norms = np.linalg.norm(X, axis=0)
+    return np.where(norms > 0, 1.0 / np.where(norms > 0, norms, 1.0), 1.0)
+
+
 def normalize_columns(ds):
     """Rescale every observed column of X to unit Euclidean norm.
 
@@ -244,8 +251,7 @@ def normalize_columns(ds):
     solver's behavior at a given lam is only meaningful relative to the
     sample magnitude. Columns with zero norm are left untouched.
     """
-    norms = np.linalg.norm(ds.X, axis=0)
-    scale = np.where(norms > 0, 1.0 / np.where(norms > 0, norms, 1.0), 1.0)
+    scale = unit_column_scale(ds.X)
     return _rebuild(ds, ds.X0 * scale, ds.E0 * scale, ds.true_labels,
                     ds.outlier_indices, ds.corrupted_indices, refresh_v0=True)
 

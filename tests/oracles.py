@@ -128,6 +128,21 @@ def auc_by_threshold_sweep(scores, truth):
     return float(np.trapezoid(pts[:, 1], pts[:, 0]))
 
 
+def roc_by_threshold_sweep(scores, truth):
+    """ROC points (false-positive rate, true-positive rate): (0, 0), then
+    one point per distinct score from the highest down, each counted by a
+    full pass over the samples."""
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(truth, dtype=bool)
+    n_pos = int(y.sum())
+    n_neg = int(y.size - n_pos)
+    pts = [(0.0, 0.0)]
+    for thr in sorted(set(s.tolist()), reverse=True):
+        flag = s >= thr
+        pts.append(((flag & ~y).sum() / n_neg, (flag & y).sum() / n_pos))
+    return np.asarray(pts)
+
+
 def laplacian_spectrum_oracle(W):
     """Normalized-Laplacian spectrum computed independently (dense eigh on
     an explicitly assembled matrix)."""

@@ -120,6 +120,23 @@ class TestSolveCommand:
         assert main(["solve", "--input", x_path, "--self", "--lambda", "1000",
                      "--normalize", "--output", str(out)]) == 0
 
+    def test_normalize_scales_columns_to_unit_length(self, tmp_path):
+        ds, x_path, _ = write_dataset(tmp_path)
+        unit_path = tmp_path / "unit.csv"
+        matio.write_matrix_csv(unit_path, ds.X * (1.0 / np.linalg.norm(ds.X, axis=0)))
+        args = ["solve", "--self", "--lambda", "1000"]
+        n_out, u_out = tmp_path / "n", tmp_path / "u"
+        assert main(args + ["--input", x_path, "--normalize", "--output", str(n_out)]) == 0
+        assert main(args + ["--input", str(unit_path), "--output", str(u_out)]) == 0
+        assert (n_out / "Z.csv").read_bytes() == (u_out / "Z.csv").read_bytes()
+
+    def test_overflow_exit_3(self, tmp_path):
+        ds, _, _ = write_dataset(tmp_path)
+        big_path = tmp_path / "big.csv"
+        matio.write_matrix_csv(big_path, ds.X * 1e160)
+        assert main(["solve", "--input", str(big_path), "--self", "--lambda", "0.3",
+                     "--output", str(tmp_path / "o")]) == 3
+
 
 class TestSegmentCommand:
     def test_with_truth_accuracy_one(self, tmp_path):

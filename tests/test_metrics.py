@@ -58,6 +58,12 @@ class TestSegmentationAccuracy:
         local = metrics.segmentation_accuracy(pred, truth, "local")
         assert auto == local
 
+    def test_global_few_clusters_many_classes(self):
+        # 7 clusters against 12 classes: 12!/5! injections to enumerate
+        truth = np.repeat(np.arange(12), 10)
+        pred = truth % 7
+        assert metrics.segmentation_accuracy(pred, truth) == pytest.approx(70 / 120)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             metrics.segmentation_accuracy([], [])
@@ -106,6 +112,22 @@ class TestAuc:
     def test_single_class_rejected(self):
         with pytest.raises(UndefinedMetricError):
             metrics.auc([0.1, 0.2], [True, True])
+
+
+class TestRocSweep:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_threshold_sweep_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(4, 40))
+        scores = np.round(rng.uniform(0, 1, size=m), 1)  # force ties
+        truth = rng.integers(0, 2, size=m).astype(bool)
+        truth[0], truth[1] = True, False
+        np.testing.assert_array_equal(metrics.roc_sweep(scores, truth),
+                                      oracles.roc_by_threshold_sweep(scores, truth))
+
+    def test_single_class_rejected(self):
+        with pytest.raises(UndefinedMetricError):
+            metrics.roc_sweep([0.1, 0.2], [False, False])
 
 
 class TestRecoveryError:

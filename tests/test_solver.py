@@ -212,14 +212,33 @@ class TestSolveLrrSelf:
         with pytest.raises(DegenerateInputError):
             solver.solve_lrr_self(np.zeros((4, 3)), "l21", solver.SolverOptions(lam=1.0))
 
-    def test_matches_plain_solve(self):
-        # low-rank data takes the reduced path; answers must agree anyway
-        X = rand((12, 4), 52) @ rand((4, 15), 53)
+    @pytest.mark.parametrize("model", solver.ERROR_MODELS)
+    @pytest.mark.parametrize("shape", ["tall", "wide", "rank_deficient"])
+    def test_matches_plain_solve(self, shape, model):
+        # the self solve runs in the SVD coordinates of X; answers must
+        # agree with the direct solve on the full dictionary anyway
+        X = {
+            "tall": lambda: rand((15, 8), 54),  # full column rank
+            "wide": lambda: rand((6, 10), 54),  # full row rank
+            "rank_deficient": lambda: rand((12, 4), 52) @ rand((4, 15), 53),
+        }[shape]()
         opts = solver.SolverOptions(lam=0.7)
-        fast = solver.solve_lrr_self(X, "l21", opts)
-        direct = solver.solve_lrr(X, X, "l21", opts)
+        fast = solver.solve_lrr_self(X, model, opts)
+        direct = solver.solve_lrr(X, X, model, opts)
         assert np.abs(fast.Z - direct.Z).max() < 1e-6
         assert np.abs(fast.E - direct.E).max() < 1e-6
+
+    def test_wide_frobenius_converges(self):
+        # 150 unit columns in R^100 from 5 rank-3 subspaces with 10% noise;
+        # the direct solve's 150x150 SVT failed to converge on this input
+        ens = synth.gen_ensemble(5, 3, 100, mode="independent", seed=0)
+        ds = synth.normalize_columns(
+            synth.add_noise(synth.sample(ens, 30, seed=1), 0.1, seed=2))
+        opts = solver.SolverOptions(lam=10.0)
+        sol = solver.solve_lrr_self(ds.X, "frobenius_sq", opts)
+        ref = solver.solve_lrr_reduced(ds.X, ds.X, "frobenius_sq", opts)
+        assert sol.converged and ref.converged
+        assert sol.objective == pytest.approx(ref.objective, rel=1e-6)
 
 
 class TestReduceDictionary:
