@@ -170,6 +170,15 @@ def _result_record(command, config, solver_diag, metric_values, metric_reasons,
     })
 
 
+def _write_outputs(output, csvs, record):
+    """Write each matrix of ``csvs`` to ``<output>/<name>.csv`` and the
+    record to ``<output>/result.json``."""
+    os.makedirs(output, exist_ok=True)
+    for name, matrix in csvs.items():
+        matio.write_matrix_csv(os.path.join(output, f"{name}.csv"), matrix)
+    matio.write_json(os.path.join(output, "result.json"), record)
+
+
 def _config_echo(args, skip=("output",)):
     cfg = {k: v for k, v in vars(args).items() if k not in skip and k != "func"}
     return _jsonable(cfg)
@@ -178,12 +187,9 @@ def _config_echo(args, skip=("output",)):
 def cmd_solve(args):
     started = time.perf_counter()
     sol = _solve(args)
-    os.makedirs(args.output, exist_ok=True)
-    matio.write_matrix_csv(os.path.join(args.output, "Z.csv"), sol.Z)
-    matio.write_matrix_csv(os.path.join(args.output, "E.csv"), sol.E)
     record = _result_record("solve", _config_echo(args), _solution_record(sol),
                             {}, {}, None, None, started)
-    matio.write_json(os.path.join(args.output, "result.json"), record)
+    _write_outputs(args.output, {"Z": sol.Z, "E": sol.E}, record)
     return EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
 
 
@@ -220,14 +226,11 @@ def cmd_segment(args):
         reasons["accuracy"] = "no ground truth"
         reasons["auc"] = "no ground truth"
 
-    os.makedirs(args.output, exist_ok=True)
-    matio.write_matrix_csv(os.path.join(args.output, "labels.csv"),
-                           result.labels.reshape(-1, 1))
     record = _result_record("segment", _config_echo(args),
                             _solution_record(result.solution), metric_values,
                             reasons, result.labels,
                             result.outliers, started)
-    matio.write_json(os.path.join(args.output, "result.json"), record)
+    _write_outputs(args.output, {"labels": result.labels.reshape(-1, 1)}, record)
     return EXIT_OK if result.solution.converged else EXIT_NO_CONVERGENCE
 
 
@@ -255,15 +258,13 @@ def cmd_detect_outliers(args):
     else:
         reasons["auc"] = "no ground truth"
 
-    os.makedirs(args.output, exist_ok=True)
-    matio.write_matrix_csv(os.path.join(args.output, "scores.csv"),
-                           scores.reshape(1, -1))
+    csvs = {"scores": scores.reshape(1, -1)}
     if roc is not None:
-        matio.write_matrix_csv(os.path.join(args.output, "roc.csv"), roc)
+        csvs["roc"] = roc
     record = _result_record("detect-outliers", _config_echo(args),
                             _solution_record(sol), metric_values, reasons,
                             None, outliers, started)
-    matio.write_json(os.path.join(args.output, "result.json"), record)
+    _write_outputs(args.output, csvs, record)
     return EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
 
 
@@ -271,17 +272,14 @@ def cmd_replicate(args):
     started = time.perf_counter()
     seed = args.seed if args.seed is not None else _default_seed()
     out = recipes.run_replication(args.figure, seed)
-    os.makedirs(args.output, exist_ok=True)
-    for name, table in out.tables.items():
-        matio.write_matrix_csv(os.path.join(args.output, f"{name}.csv"), table)
+    csvs = dict(out.tables)
     if out.dataset is not None:
-        matio.write_matrix_csv(os.path.join(args.output, "X.csv"), out.dataset.X)
-        matio.write_matrix_csv(os.path.join(args.output, "true_labels.csv"),
-                               out.dataset.true_labels.reshape(-1, 1))
+        csvs["X"] = out.dataset.X
+        csvs["true_labels"] = out.dataset.true_labels.reshape(-1, 1)
     record = _result_record("replicate", {"figure": args.figure, "seed": seed},
                             None, out.metrics, {}, out.labels, out.outliers,
                             started)
-    matio.write_json(os.path.join(args.output, "result.json"), record)
+    _write_outputs(args.output, csvs, record)
     return EXIT_OK
 
 

@@ -171,7 +171,13 @@ def svt_with_nuclear(M, theta):
     Shrinks every singular value by ``theta`` (clamping at zero) and
     reconstructs. The second return value, ``sum(max(sigma_i - theta, 0))``,
     comes for free and is the nuclear norm of the output.
+
+    When ``||M||_F <= theta`` the result is zero without an SVD: the largest
+    singular value is at most the Frobenius norm, so every shrunk value
+    clamps to zero. This certificate is exact, not a tolerance.
     """
+    if np.linalg.norm(M) <= theta:
+        return np.zeros(M.shape), 0.0
     U, s, Vt = _raw_svd(M)
     t = s - theta
     keep = t > 0

@@ -105,14 +105,47 @@ class ReducedDictionary:
     r_A: int
 
 
+def _z_step(A):
+    """Operators ``(M -> A M, M -> A^T M, R -> (I + A^T A)^{-1} R)`` for the
+    Z-step, set up once per solve.
+
+    A square diagonal ``A = diag(s)`` (the self-expressive path) needs no
+    factorization: all three are row scalings. Any other dictionary has
+    ``I + A^T A`` factored by Cholesky and inverted once, so that each sweep
+    costs one matrix product and stays on NumPy's BLAS. ``A^T A`` overflows
+    for entries near 1e154 and beyond.
+    """
+    n_a = A.shape[1]
+    s = np.diag(A)[:, None]
+    diagonal = A.shape[0] == n_a and np.array_equal(A, np.diagflat(s))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = 1.0 + s * s if diagonal else np.eye(n_a) + A.T @ A
+    if not np.isfinite(gram).all():
+        raise NumericalError(f"I + A^T A overflows ({n_a}x{n_a}); rescale the data")
+    if diagonal:
+        return (lambda M: s * M), (lambda M: s * M), (lambda R: R / gram)
+    try:
+        chol = scipy.linalg.cho_factor(gram)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError(f"factorization of I + A^T A failed ({n_a}x{n_a})") from exc
+    inverse = scipy.linalg.cho_solve(chol, np.eye(n_a))
+    return (lambda M: A @ M), (lambda M: A.T @ M), (lambda R: inverse @ R)
+
+
 def solve_lrr(X, A, model="l21", opts=None):
     """Alternating-direction solve of the representation problem on (X, A).
 
     Each sweep thresholds the nuclear-norm block (J), solves the
-    regularized normal equations for Z, applies the proximal step matching
-    ``model`` to E, then updates the multipliers and grows mu. Terminates
-    when both infinity-norm residuals fall below ``opts.eps`` or after
-    ``opts.max_iters`` sweeps (``converged=False``).
+    regularized normal equations ``(I + A^T A) Z = rhs`` for Z, applies the
+    proximal step matching ``model`` to E, then updates the multipliers and
+    grows mu. Terminates when both infinity-norm residuals fall below
+    ``opts.eps`` or after ``opts.max_iters`` sweeps (``converged=False``).
+
+    The Z-step takes one of two forms, chosen from ``A`` itself: a square
+    diagonal dictionary ``diag(s)`` makes it a row scaling by
+    ``1 / (1 + s^2)`` with no factorization, and any other dictionary
+    applies ``(I + A^T A)^{-1}``, formed once from a Cholesky factor, with
+    one matrix product per sweep. Both give the same iterates to roundoff.
     """
     X = as_matrix(X, "X")
     A = as_matrix(A, "A")
@@ -125,16 +158,8 @@ def solve_lrr(X, A, model="l21", opts=None):
         raise ValueError(f"X has {d} rows but dictionary A has {A.shape[0]}")
     n_a = A.shape[1]
 
-    # (I + A^T A) is constant across sweeps and symmetric positive definite:
-    # factor it once. A^T A overflows for entries near 1e154 and beyond.
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.eye(n_a) + A.T @ A
-    if not np.isfinite(gram).all():
-        raise NumericalError(f"I + A^T A overflows ({n_a}x{n_a}); rescale the data")
-    try:
-        chol = scipy.linalg.cho_factor(gram)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"factorization of I + A^T A failed ({n_a}x{n_a})") from exc
+    # The Z-step operators are constant across sweeps: set them up once.
+    apply_a, apply_at, z_solve = _z_step(A)
 
     lam = opts.lam
     mu = opts.mu_init
@@ -155,10 +180,9 @@ def solve_lrr(X, A, model="l21", opts=None):
 
         J, j_nuclear = svt_with_nuclear(Z + Y2 / mu, 1.0 / mu)
 
-        rhs = A.T @ (X - E) + J + (A.T @ Y1 - Y2) / mu
-        Z = scipy.linalg.cho_solve(chol, rhs)
+        Z = z_solve(apply_at(X - E) + J + (apply_at(Y1) - Y2) / mu)
 
-        AZ = A @ Z
+        AZ = apply_a(Z)
         G = X - AZ + Y1 / mu
         if model == "l21":
             E = column_shrink(G, lam / mu)

@@ -157,10 +157,12 @@ class TestSvt:
     def test_minimizes_svt_objective_vs_perturbations(self):
         M = rand((5, 5), 17)
         theta = 0.7
-        J = linalg.svt(M, theta)
-        assert oracles.beats_random_perturbations(
-            lambda W: oracles.svt_objective(W, M, theta), J, 200, 0.05, seed=3
-        )
+        # the second input has ||M||_F = 0.9 theta: the zero certificate answers
+        for M in (M, M * (0.9 * theta / np.linalg.norm(M))):
+            J = linalg.svt(M, theta)
+            assert oracles.beats_random_perturbations(
+                lambda W: oracles.svt_objective(W, M, theta), J, 200, 0.05, seed=3
+            )
 
     def test_rank_never_grows_and_nuclear_value(self):
         for seed in range(5):
@@ -176,6 +178,34 @@ class TestSvt:
     def test_negative_theta_rejected(self):
         with pytest.raises(ValueError):
             linalg.svt(np.eye(2), -0.1)
+
+    def test_frobenius_certificate_skips_svd(self, monkeypatch):
+        def no_svd(M):
+            raise AssertionError("SVD ran inside the Frobenius ball")
+
+        monkeypatch.setattr(linalg, "_raw_svd", no_svd)
+        M = rand((6, 4), 18)
+        theta = np.linalg.norm(M)
+        for t in (theta, 2.0 * theta):
+            J, nuclear = linalg.svt_with_nuclear(M, t)
+            assert J.shape == M.shape and not J.any()
+            assert nuclear == 0.0
+
+    def test_spectral_inside_frobenius_outside_still_zero(self, monkeypatch):
+        # sigma_max = 1 <= theta = 1.5 < ||I_4||_F = 2: the certificate does
+        # not fire, the SVD runs and every shrunk value clamps to zero
+        calls = []
+        real = linalg._raw_svd
+
+        def counted_svd(M):
+            calls.append(M)
+            return real(M)
+
+        monkeypatch.setattr(linalg, "_raw_svd", counted_svd)
+        J, nuclear = linalg.svt_with_nuclear(np.eye(4), 1.5)
+        assert len(calls) == 1
+        assert J.shape == (4, 4) and not J.any()
+        assert nuclear == 0.0
 
 
 class TestColumnShrink:

@@ -126,6 +126,27 @@ class TestSolveLrr:
         rest = np.delete(np.abs(sol.E).ravel(), idx).max()
         assert big > 10 * rest
 
+    @pytest.mark.parametrize("model", solver.ERROR_MODELS)
+    def test_diagonal_dictionary_matches_general_z_step(self, model, monkeypatch):
+        # a zero row appended to X and to diag(s) leaves the problem as it
+        # is but makes the dictionary non-square, forcing the Cholesky form
+        X = rand((6, 9), 24)
+        D = np.diag([3.0, 2.5, 2.0, 1.5, 1.0, 0.5])
+        opts = solver.SolverOptions(lam=0.6)
+        general = solver.solve_lrr(np.vstack([X, np.zeros((1, 9))]),
+                                   np.vstack([D, np.zeros((1, 6))]), model, opts)
+
+        def no_factorization(*args, **kwargs):
+            raise AssertionError("a diagonal dictionary needs no Cholesky factor")
+
+        monkeypatch.setattr(solver.scipy.linalg, "cho_factor", no_factorization)
+        diagonal = solver.solve_lrr(X, D, model, opts)
+        assert diagonal.converged and general.converged
+        assert np.abs(diagonal.Z - general.Z).max() < 1e-6
+        assert np.abs(diagonal.E - general.E[:-1]).max() < 1e-6
+        assert not general.E[-1].any()
+        assert diagonal.objective == pytest.approx(general.objective, rel=1e-8)
+
     def test_frobenius_model_one_sweep_matches_closed_form(self):
         X, A = rand((5, 7), 22), rand((5, 7), 23)
         opts = solver.SolverOptions(lam=0.8, max_iters=1)
