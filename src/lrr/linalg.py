@@ -175,15 +175,60 @@ def svt_with_nuclear(M, theta):
     When ``||M||_F <= theta`` the result is zero without an SVD: the largest
     singular value is at most the Frobenius norm, so every shrunk value
     clamps to zero. This certificate is exact, not a tolerance.
+
+    Otherwise only the singular triplets above ``theta`` are computed. With
+    ``N = M / ||M||_F`` (so no square over- or underflows) turned to have
+    at least as many rows as columns, and ``tau = theta / ||M||_F``:
+
+    1. ``eigh`` of the Gram matrix ``N^T N`` on the smaller side. Its
+       eigenvectors with eigenvalue above ``tau^2 - (m + n) eps`` span the
+       kept basis ``B``. The margin bounds the rounding of the Gram product
+       (``m eps ||N||_F^2``) plus the backward error of ``eigh``
+       (``n eps lambda_max <= n eps ||N||_F^2``), so no singular value
+       above ``theta`` is cut. An empty basis means a zero result.
+    2. Rayleigh-Ritz: the SVD ``N B = U S W^T`` gives the singular values
+       and ``U`` accurately, with ``V = B W``; ``N V = U S`` then holds to
+       the SVD's own roundoff.
+    3. The triplets with ``s > tau`` are checked by their other residual,
+       ``||N^T U - V S||_inf <= 4 max(m, n) eps``. It is large only when
+       ``B`` misses part of the leading row space, as when the kept singular
+       values sit near the ``eigh`` noise floor ``sqrt(eps) sigma_max``;
+       the full SVD of ``N`` then answers instead.
+
+    The result equals the full-SVD threshold to roundoff.
     """
-    if np.linalg.norm(M) <= theta:
+    with np.errstate(over="ignore"):
+        scale = np.linalg.norm(M)
+    if scale <= theta:
         return np.zeros(M.shape), 0.0
-    U, s, Vt = _raw_svd(M)
-    t = s - theta
-    keep = t > 0
-    if not keep.any():
+    if not np.isfinite(scale):
+        # ||M||_F overflows (entries near 1e154 and beyond), so there is no
+        # scale to normalize by: take the full SVD, which gesdd scales itself.
+        U, s, Vt = _raw_svd(M)
+        keep = s > theta
+        t = s[keep] - theta
+        return (U[:, keep] * t) @ Vt[keep], float(t.sum())
+    wide = M.shape[0] < M.shape[1]
+    N = (M.T if wide else M) / scale
+    m, n = N.shape
+    tau = theta / scale
+    try:
+        w, B = np.linalg.eigh(N.T @ N)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed on a {n}x{n} Gram matrix") from exc
+    B = B[:, w > tau * tau - (m + n) * _EPS]
+    if not B.shape[1]:
         return np.zeros(M.shape), 0.0
-    return (U[:, keep] * t[keep]) @ Vt[keep, :], float(t[keep].sum())
+    U, s, Wt = _raw_svd(N @ B)
+    keep = s > tau
+    U, s, V = U[:, keep], s[keep], B @ Wt[keep].T
+    if s.size and np.abs(N.T @ U - V * s).max() > 4 * m * _EPS:
+        U, s, Vt = _raw_svd(N)
+        keep = s > tau
+        U, s, V = U[:, keep], s[keep], Vt[keep].T
+    t = (s - tau) * scale
+    J = (V * t) @ U.T if wide else (U * t) @ V.T
+    return J, float(t.sum())
 
 
 def svt(M, theta):

@@ -139,7 +139,8 @@ def solve_lrr(X, A, model="l21", opts=None):
     regularized normal equations ``(I + A^T A) Z = rhs`` for Z, applies the
     proximal step matching ``model`` to E, then updates the multipliers and
     grows mu. Terminates when both infinity-norm residuals fall below
-    ``opts.eps`` or after ``opts.max_iters`` sweeps (``converged=False``).
+    ``opts.eps`` or after ``opts.max_iters`` sweeps (``converged=False``);
+    raises ``NumericalError`` as soon as either residual is not finite.
 
     The Z-step takes one of two forms, chosen from ``A`` itself: a square
     diagonal dictionary ``diag(s)`` makes it a row scaling by
@@ -194,13 +195,17 @@ def solve_lrr(X, A, model="l21", opts=None):
 
         R1 = X - AZ - E
         R2 = Z - J
+        r1 = float(np.abs(R1).max())
+        r2 = float(np.abs(R2).max())
+        if not (math.isfinite(r1) and math.isfinite(r2)):
+            # A NaN never passes the stopping test below, so the iterates
+            # can only stay broken: stop here with the failure named.
+            raise NumericalError(f"non-finite residual at iteration {iterations}")
         Y1 = Y1 + mu * R1
         Y2 = Y2 + mu * R2
         mu = min(opts.rho * mu, opts.mu_max)
 
         obj_trace.append(j_nuclear + lam * error_norm(E, model))
-        r1 = float(np.abs(R1).max())
-        r2 = float(np.abs(R2).max())
         if r1 < opts.eps and r2 < opts.eps:
             converged = True
             break

@@ -17,6 +17,15 @@ def full_svd_nuclear(M):
     return float(np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False).sum())
 
 
+def svt_by_full_svd(M, theta):
+    """Singular-value threshold of ``M`` and the nuclear norm of the result,
+    from a full SVD: every singular value shrunk by ``theta``, clamped at
+    zero."""
+    U, s, Vt = np.linalg.svd(np.asarray(M, dtype=float), full_matrices=False)
+    t = np.maximum(s - theta, 0.0)
+    return (U * t) @ Vt, float(t.sum())
+
+
 def moore_penrose_violations(M, P):
     """Max violation across the four Moore-Penrose identities."""
     M = np.asarray(M, dtype=float)

@@ -130,6 +130,21 @@ class TestSolveCommand:
         assert main(args + ["--input", str(unit_path), "--output", str(u_out)]) == 0
         assert (n_out / "Z.csv").read_bytes() == (u_out / "Z.csv").read_bytes()
 
+    def test_non_finite_iterate_exit_3(self, tmp_path, monkeypatch):
+        _, x_path, _ = write_dataset(tmp_path)
+        real = solver.column_shrink
+
+        def poisoned(G, alpha):
+            out = real(G, alpha)
+            out[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(solver, "column_shrink", poisoned)
+        out = tmp_path / "o"
+        assert main(["solve", "--input", x_path, "--self", "--lambda", "1",
+                     "--output", str(out)]) == 3
+        assert not (out / "Z.csv").exists()
+
     def test_overflow_exit_3(self, tmp_path):
         ds, _, _ = write_dataset(tmp_path)
         big_path = tmp_path / "big.csv"

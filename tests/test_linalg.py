@@ -1,3 +1,5 @@
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -9,6 +11,46 @@ import oracles
 
 def rand(shape, seed):
     return np.random.default_rng(seed).standard_normal(shape)
+
+
+@st.composite
+def svt_cases(draw):
+    """``(M, theta)``: tall, wide or square ``M`` of any rank, its singular
+    values spread, graded over ten decades, clustered, or split between 1
+    and the Gram noise floor (1e-11..1e-8), scaled by 10^-150..10^150, with
+    ``theta`` above sigma_max, at a cluster, at 1e-12 sigma_max or anywhere
+    below sigma_max."""
+    m = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 40))
+    k = min(m, n)
+    rank = draw(st.integers(1, k))
+    spectrum = draw(st.sampled_from(["spread", "graded", "clustered", "gapped"]))
+    place = draw(st.sampled_from(["above", "cluster", "tiny", "inside"]))
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if spectrum == "spread":
+        s = rng.uniform(0.1, 1.0, rank)
+    elif spectrum == "graded":
+        s = 10.0 ** rng.uniform(-10.0, 0.0, rank)
+    elif spectrum == "gapped":
+        s = np.where(rng.random(rank) < 0.5, 1.0, 10.0 ** rng.uniform(-11.0, -8.0, rank))
+    else:
+        levels = rng.uniform(0.1, 1.0, 3)
+        s = levels[rng.integers(0, 3, rank)] * (1.0 + rng.uniform(-1e-14, 1e-14, rank))
+    s = np.sort(s)[::-1] / s.max()
+    U = np.linalg.qr(rng.standard_normal((m, rank)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, rank)))[0]
+    M = (U * s) @ V.T * scale
+    smax = np.linalg.norm(M, 2)
+    if place == "above":
+        theta = smax * rng.uniform(1.0, 1.5)
+    elif place == "cluster":
+        theta = scale * s[rng.integers(0, rank)]
+    elif place == "tiny":
+        theta = 1e-12 * smax
+    else:
+        theta = smax * rng.uniform(0.0, 1.0)
+    return M, theta
 
 
 class TestSkinnySvd:
@@ -193,19 +235,98 @@ class TestSvt:
 
     def test_spectral_inside_frobenius_outside_still_zero(self, monkeypatch):
         # sigma_max = 1 <= theta = 1.5 < ||I_4||_F = 2: the certificate does
-        # not fire, the SVD runs and every shrunk value clamps to zero
-        calls = []
-        real = linalg._raw_svd
+        # not fire, but no Gram eigenvalue clears theta^2, so no SVD runs
+        def no_svd(M):
+            raise AssertionError("SVD ran though no singular value exceeds theta")
 
-        def counted_svd(M):
-            calls.append(M)
-            return real(M)
-
-        monkeypatch.setattr(linalg, "_raw_svd", counted_svd)
+        monkeypatch.setattr(linalg, "_raw_svd", no_svd)
         J, nuclear = linalg.svt_with_nuclear(np.eye(4), 1.5)
-        assert len(calls) == 1
         assert J.shape == (4, 4) and not J.any()
         assert nuclear == 0.0
+
+    @pytest.mark.parametrize("shape", [(60, 40), (40, 60)])
+    def test_svds_only_the_triplets_above_theta(self, shape, monkeypatch):
+        # rank 3 with theta between sigma_2 and sigma_3: the Rayleigh-Ritz
+        # SVD sees the few kept Gram eigenvectors, never all 40
+        rng = np.random.default_rng(47)
+        U = np.linalg.qr(rng.standard_normal((shape[0], 3)))[0]
+        V = np.linalg.qr(rng.standard_normal((shape[1], 3)))[0]
+        M = (U * [3.0, 2.0, 1.0]) @ V.T
+        shapes = []
+        real = linalg._raw_svd
+
+        def recorded_svd(A):
+            shapes.append(A.shape)
+            return real(A)
+
+        monkeypatch.setattr(linalg, "_raw_svd", recorded_svd)
+        J, nuclear = linalg.svt_with_nuclear(M, 1.5)
+        assert shapes and all(min(s) <= 3 for s in shapes)
+        J_ref, nuclear_ref = oracles.svt_by_full_svd(M, 1.5)
+        assert np.abs(J - J_ref).max() <= 1e-12 * 3.0
+        assert nuclear == pytest.approx(nuclear_ref, abs=1e-12 * 3.0)
+
+    @pytest.mark.parametrize("shape", [(30, 12), (12, 30)])
+    def test_residual_check_falls_back_to_full_svd(self, shape, monkeypatch):
+        # eigh hands back a basis rotated by ~1e-6: the Rayleigh-Ritz
+        # triplets fail the residual check and the full SVD answers
+        rng = np.random.default_rng(53)
+        M = rand(shape, 59)
+        theta = 0.5 * np.linalg.norm(M, 2)
+        real_eigh = np.linalg.eigh
+
+        def perturbed_eigh(G):
+            w, B = real_eigh(G)
+            return w, np.linalg.qr(B + 1e-6 * rng.standard_normal(B.shape))[0]
+
+        shapes = []
+        real_svd = linalg._raw_svd
+
+        def recorded_svd(A):
+            shapes.append(A.shape)
+            return real_svd(A)
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh)
+        monkeypatch.setattr(linalg, "_raw_svd", recorded_svd)
+        J, nuclear = linalg.svt_with_nuclear(M, theta)
+        assert len(shapes) == 2 and shapes[0][1] < 12 and shapes[1] == (30, 12)
+        J_ref, nuclear_ref = oracles.svt_by_full_svd(M, theta)
+        smax = np.linalg.norm(M, 2)
+        assert np.abs(J - J_ref).max() <= 1e-12 * smax
+        assert nuclear == pytest.approx(nuclear_ref, abs=1e-12 * smax)
+
+    def test_overflowing_frobenius_norm_still_thresholds(self):
+        # entries of 1e160 are finite but ||M||_F overflows, so there is no
+        # norm to scale by
+        M = rand((5, 3), 67) * 1e160
+        with np.errstate(over="ignore"):
+            assert np.linalg.norm(M) == np.inf
+        smax = np.linalg.norm(M, 2)
+        J, nuclear = linalg.svt_with_nuclear(M, 0.5 * smax)
+        J_ref, nuclear_ref = oracles.svt_by_full_svd(M, 0.5 * smax)
+        assert np.abs(J - J_ref).max() <= 1e-12 * smax
+        assert nuclear == pytest.approx(nuclear_ref, rel=1e-12)
+
+    def test_eigh_failure_wrapped_with_dimensions(self, monkeypatch):
+        def boom(G):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", boom)
+        with pytest.raises(NumericalError, match="2x2"):
+            linalg.svt_with_nuclear(rand((5, 2), 61), 0.1)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(svt_cases())
+    def test_matches_full_svd_threshold(self, case):
+        M, theta = case
+        smax = np.linalg.norm(M, 2)
+        J, nuclear = linalg.svt_with_nuclear(M, theta)
+        J_ref, nuclear_ref = oracles.svt_by_full_svd(M, theta)
+        assert J.shape == M.shape
+        assert np.abs(J - J_ref).max() <= 1e-12 * smax
+        assert abs(nuclear - nuclear_ref) <= 1e-12 * smax
+        J2, nuclear2 = linalg.svt_with_nuclear(M, theta)
+        assert np.array_equal(J, J2) and nuclear == nuclear2
 
 
 class TestColumnShrink:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lrr import linalg, solver, synth
-from lrr.errors import DegenerateInputError, FeasibilityError
+from lrr.errors import DegenerateInputError, FeasibilityError, NumericalError
 
 
 def rand(shape, seed):
@@ -94,6 +94,23 @@ class TestSolveLrr:
         assert np.array_equal(s1.Z, s2.Z)
         assert np.array_equal(s1.E, s2.E)
         assert s1.objective == s2.objective
+
+    def test_non_finite_iterate_raises_at_once(self, monkeypatch):
+        calls = []
+        real = solver.column_shrink
+
+        def poisoned(G, alpha):
+            calls.append(alpha)
+            out = real(G, alpha)
+            if len(calls) == 5:
+                out[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(solver, "column_shrink", poisoned)
+        with pytest.raises(NumericalError, match="iteration 5"):
+            solver.solve_lrr(rand((6, 8), 4), rand((6, 8), 5), "l21",
+                             solver.SolverOptions(lam=0.5))
+        assert len(calls) == 5
 
     def test_max_iters_cap_reports_nonconvergence(self):
         sol = solver.solve_lrr(rand((6, 8), 10), rand((6, 8), 11), "l21",
