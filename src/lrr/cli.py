@@ -30,12 +30,15 @@ EXIT_NUMERICAL = 3
 EXIT_NO_CONVERGENCE = 4
 
 
-def _default_seed():
+def _seed(args):
+    """``--seed``, else the ``LRR_SEED`` environment variable, else 0."""
+    if args.seed is not None:
+        return args.seed
     env = os.environ.get("LRR_SEED")
     return int(env) if env else 0
 
 
-def _add_solver_args(p, need_lambda=True):
+def _add_solver_args(p):
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="tradeoff weight on the error term")
     p.add_argument("--lambda-preset", choices=["motion"], default=None,
@@ -49,12 +52,16 @@ def _add_solver_args(p, need_lambda=True):
     p.add_argument("--max-iters", type=int, default=1000)
 
 
-def _add_io_args(p):
+def _add_io_args(p, dictionary=True):
+    """Input flags; ``--dict`` only where the command takes a dictionary,
+    and then never together with ``--self``."""
     p.add_argument("--input", required=True, help="data matrix X as CSV")
-    p.add_argument("--dict", dest="dictionary", default=None,
-                   help="dictionary matrix A as CSV (default: --self)")
-    p.add_argument("--self", dest="self_mode", action="store_true",
-                   help="use the data itself as the dictionary")
+    source = p.add_mutually_exclusive_group()
+    if dictionary:
+        source.add_argument("--dict", dest="dictionary", default=None,
+                            help="dictionary matrix A as CSV (default: --self)")
+    source.add_argument("--self", dest="self_mode", action="store_true",
+                        help="use the data itself as the dictionary")
     p.add_argument("--header", action="store_true",
                    help="input CSVs carry a header row")
     p.add_argument("--normalize", action="store_true",
@@ -72,7 +79,7 @@ def build_parser():
     p.add_argument("--output", required=True, help="output directory")
 
     p = sub.add_parser("segment", help="solve + affinity + spectral segmentation")
-    _add_io_args(p)
+    _add_io_args(p, dictionary=False)
     _add_solver_args(p)
     p.add_argument("--k", default="auto", help="cluster count or 'auto'")
     p.add_argument("--tau", type=float, default=cluster.DEFAULT_TAU,
@@ -109,25 +116,22 @@ def _solver_options(args):
         raise ValueError("--lambda (or --lambda-preset) is required")
     return solver.SolverOptions(lam=lam, mu_init=args.mu_init, mu_max=args.mu_max,
                                 rho=args.rho, eps=args.eps,
-                                max_iters=args.max_iters,
-                                seed=args.seed if args.seed is not None else _default_seed())
+                                max_iters=args.max_iters)
 
 
 def _load_input(args):
     X = matio.read_matrix_csv(args.input, header=args.header)
     if args.normalize:
         X = X * synth.unit_column_scale(X)
-    A = None
-    if args.dictionary is not None:
-        A = matio.read_matrix_csv(args.dictionary, header=args.header)
-    return X, A
+    return X
 
 
 def _solve(args):
-    X, A = _load_input(args)
+    X = _load_input(args)
     opts = _solver_options(args)
-    if A is None:
+    if args.dictionary is None:
         return solver.solve_lrr_self(X, args.model, opts)
+    A = matio.read_matrix_csv(args.dictionary, header=args.header)
     return solver.solve_lrr(X, A, args.model, opts)
 
 
@@ -179,9 +183,8 @@ def _write_outputs(output, csvs, record):
     matio.write_json(os.path.join(output, "result.json"), record)
 
 
-def _config_echo(args, skip=("output",)):
-    cfg = {k: v for k, v in vars(args).items() if k not in skip and k != "func"}
-    return _jsonable(cfg)
+def _config_echo(args):
+    return _jsonable({k: v for k, v in vars(args).items() if k != "output"})
 
 
 def cmd_solve(args):
@@ -195,12 +198,11 @@ def cmd_solve(args):
 
 def cmd_segment(args):
     started = time.perf_counter()
-    X, A = _load_input(args)
-    if A is not None:
-        raise ValueError("segment runs in self-expressive mode; --dict is not supported")
+    X = _load_input(args)
     opts = _solver_options(args)
     k = args.k if args.k == "auto" else int(args.k)
-    result = cluster.segment(X, k, args.model, opts, tau=args.tau, delta=args.delta)
+    result = cluster.segment(X, k, args.model, opts, tau=args.tau, delta=args.delta,
+                             seed=_seed(args))
 
     metric_values = {"k_hat": result.k_hat, "k_used": result.k,
                      "accuracy": None, "auc": None}
@@ -270,7 +272,7 @@ def cmd_detect_outliers(args):
 
 def cmd_replicate(args):
     started = time.perf_counter()
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     out = recipes.run_replication(args.figure, seed)
     csvs = dict(out.tables)
     if out.dataset is not None:

@@ -7,12 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, skinny_svd
-from .solver import solve_lrr_self
-
-# Rank cutoff applied to solver output before factoring: converged iterates
-# carry junk singular values around the stopping tolerance which must not
-# enter the affinity (each spurious direction would contribute full weight).
-SOLUTION_RANK_TOL = 1e-4
+from .solver import SOLUTION_RANK_TOL, solve_lrr_self
 
 DEFAULT_TAU = 0.08
 
@@ -53,12 +48,13 @@ class SegmentationResult:
     spectrum: LaplacianSpectrum | None = None
 
 
-def build_affinity(Z_star, rank_tol=SOLUTION_RANK_TOL):
+def build_affinity(Z_star):
     """Affinity from a representation matrix.
 
-    Factor ``Z* = U S V^T`` (skinny), weight the columns of U by sqrt(S),
-    scale each row to unit length (zero rows stay zero), and square the
-    resulting Gram matrix entrywise:
+    Factor ``Z* = U S V^T`` (skinny, singular values up to
+    ``SOLUTION_RANK_TOL * sigma_max`` dropped), weight the columns of U by
+    sqrt(S), scale each row to unit length (zero rows stay zero), and square
+    the resulting Gram matrix entrywise:
 
         W_ij = ([U_tilde U_tilde^T]_ij)^2
 
@@ -68,7 +64,7 @@ def build_affinity(Z_star, rank_tol=SOLUTION_RANK_TOL):
     """
     Z = as_matrix(Z_star, "Z_star")
     n = Z.shape[0]
-    f = skinny_svd(Z, rank_tol)
+    f = skinny_svd(Z, SOLUTION_RANK_TOL)
     if f.rank == 0:
         return Affinity(W=np.zeros((n, n)), degenerate=True)
     U = f.U * np.sqrt(f.sigma)
@@ -215,22 +211,20 @@ def detect_outliers(E_star, delta):
     return np.flatnonzero(np.linalg.norm(E, axis=0) > delta)
 
 
-def segment(X, k, model="l21", opts=None, tau=DEFAULT_TAU, delta=None, seed=None,
-            rank_tol=SOLUTION_RANK_TOL):
+def segment(X, k, model="l21", opts=None, tau=DEFAULT_TAU, delta=None, seed=0):
     """End-to-end pipeline: self-expressive solve, affinity, optional
-    cluster-count estimation (``k="auto"``), spectral segmentation, and
-    optional outlier detection (when ``delta`` is given).
+    cluster-count estimation (``k="auto"``), spectral segmentation (k-means
+    seeded by ``seed``), and optional outlier detection (when ``delta`` is
+    given).
 
     Returns a :class:`SegmentationResult` carrying labels plus every
     intermediate product as diagnostics.
     """
     sol = solve_lrr_self(X, model, opts)
-    aff = build_affinity(sol.Z, rank_tol)
+    aff = build_affinity(sol.Z)
     spectrum = laplacian_spectrum(aff)
     k_hat = estimate_k(spectrum, tau)
     k_used = k_hat if isinstance(k, str) and k == "auto" else int(k)
-    if seed is None:
-        seed = opts.seed
     labels = ncut_segment(aff, k_used, seed)
     outliers = detect_outliers(sol.E, delta) if delta is not None else None
     return SegmentationResult(

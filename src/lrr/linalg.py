@@ -61,22 +61,17 @@ class SkinnySvd:
         return (self.U * self.sigma) @ self.V.T
 
 
-def _raw_svd(M):
+def _raw_svd(M, compute_uv=True):
     d, n = M.shape
     try:
-        return np.linalg.svd(M, full_matrices=False)
+        return np.linalg.svd(M, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge on a {d}x{n} matrix") from exc
 
 
 def singular_values(M):
     """Singular values of ``M``, sorted non-increasing."""
-    M = as_matrix(M)
-    d, n = M.shape
-    try:
-        return np.linalg.svd(M, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed to converge on a {d}x{n} matrix") from exc
+    return _raw_svd(as_matrix(M), compute_uv=False)
 
 
 def skinny_svd(M, rank_tol=None):
@@ -154,17 +149,6 @@ def norm(M, kind):
     raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
 
 
-def nonzero_entry_count(M, tol=0.0):
-    """Number of entries with ``|m_ij| > tol`` (the l0 counting functional)."""
-    return int(np.count_nonzero(np.abs(as_matrix(M)) > tol))
-
-
-def nonzero_column_count(M, tol=0.0):
-    """Number of columns with Euclidean norm ``> tol`` (the l2,0 counting
-    functional)."""
-    return int(np.count_nonzero(np.linalg.norm(as_matrix(M), axis=0) > tol))
-
-
 def svt_with_nuclear(M, theta):
     """Singular-value thresholding plus the nuclear norm of the result.
 
@@ -172,61 +156,66 @@ def svt_with_nuclear(M, theta):
     reconstructs. The second return value, ``sum(max(sigma_i - theta, 0))``,
     comes for free and is the nuclear norm of the output.
 
-    When ``||M||_F <= theta`` the result is zero without an SVD: the largest
-    singular value is at most the Frobenius norm, so every shrunk value
-    clamps to zero. This certificate is exact, not a tolerance.
+    ``M`` is scaled by its largest absolute entry ``peak``: ``N = M / peak``,
+    turned to have at least as many rows as columns, has an entry of
+    magnitude 1 and none larger, so at any scale of ``M`` no square taken
+    below overflows, and any that underflows is negligible next to 1.
+    ``tau = theta / peak``. A non-finite ``peak`` (a NaN or infinite entry)
+    raises ``NumericalError``, and a zero ``M`` maps to zero.
 
-    Otherwise only the singular triplets above ``theta`` are computed. With
-    ``N = M / ||M||_F`` (so no square over- or underflows) turned to have
-    at least as many rows as columns, and ``tau = theta / ||M||_F``:
+    When ``||N||_F <= tau`` (that is, ``||M||_F <= theta``) the result is
+    zero without an SVD: the largest singular value is at most the
+    Frobenius norm, so every shrunk value clamps to zero. This certificate
+    is exact, not a tolerance.
+
+    Otherwise only the singular triplets above ``theta`` are computed:
 
     1. ``eigh`` of the Gram matrix ``N^T N`` on the smaller side. Its
-       eigenvectors with eigenvalue above ``tau^2 - (m + n) eps`` span the
-       kept basis ``B``. The margin bounds the rounding of the Gram product
-       (``m eps ||N||_F^2``) plus the backward error of ``eigh``
+       eigenvectors with eigenvalue above ``tau^2 - (m + n) eps ||N||_F^2``
+       span the kept basis ``B``. The margin bounds the rounding of the Gram
+       product (``m eps ||N||_F^2``) plus the backward error of ``eigh``
        (``n eps lambda_max <= n eps ||N||_F^2``), so no singular value
        above ``theta`` is cut. An empty basis means a zero result.
     2. Rayleigh-Ritz: the SVD ``N B = U S W^T`` gives the singular values
        and ``U`` accurately, with ``V = B W``; ``N V = U S`` then holds to
        the SVD's own roundoff.
     3. The triplets with ``s > tau`` are checked by their other residual,
-       ``||N^T U - V S||_inf <= 4 max(m, n) eps``. It is large only when
+       ``||N^T U - V S||_inf <= 4 m eps ||N||_F``. It is large only when
        ``B`` misses part of the leading row space, as when the kept singular
        values sit near the ``eigh`` noise floor ``sqrt(eps) sigma_max``;
        the full SVD of ``N`` then answers instead.
 
     The result equals the full-SVD threshold to roundoff.
     """
-    with np.errstate(over="ignore"):
-        scale = np.linalg.norm(M)
-    if scale <= theta:
+    peak = max(M.max(), -M.min())
+    if not np.isfinite(peak):
+        raise NumericalError(f"non-finite entries in a {M.shape[0]}x{M.shape[1]} SVT input")
+    if peak == 0.0:
         return np.zeros(M.shape), 0.0
-    if not np.isfinite(scale):
-        # ||M||_F overflows (entries near 1e154 and beyond), so there is no
-        # scale to normalize by: take the full SVD, which gesdd scales itself.
-        U, s, Vt = _raw_svd(M)
-        keep = s > theta
-        t = s[keep] - theta
-        return (U[:, keep] * t) @ Vt[keep], float(t.sum())
     wide = M.shape[0] < M.shape[1]
-    N = (M.T if wide else M) / scale
+    N = (M.T if wide else M) / peak
     m, n = N.shape
-    tau = theta / scale
+    with np.errstate(over="ignore"):
+        # inf when theta dwarfs every entry; the certificate then answers
+        tau = theta / peak
+    fro = np.linalg.norm(N)
+    if fro <= tau:
+        return np.zeros(M.shape), 0.0
     try:
         w, B = np.linalg.eigh(N.T @ N)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed on a {n}x{n} Gram matrix") from exc
-    B = B[:, w > tau * tau - (m + n) * _EPS]
+    B = B[:, w > tau * tau - (m + n) * _EPS * fro * fro]
     if not B.shape[1]:
         return np.zeros(M.shape), 0.0
     U, s, Wt = _raw_svd(N @ B)
     keep = s > tau
     U, s, V = U[:, keep], s[keep], B @ Wt[keep].T
-    if s.size and np.abs(N.T @ U - V * s).max() > 4 * m * _EPS:
+    if s.size and np.abs(N.T @ U - V * s).max() > 4 * m * _EPS * fro:
         U, s, Vt = _raw_svd(N)
         keep = s > tau
         U, s, V = U[:, keep], s[keep], Vt[keep].T
-    t = (s - tau) * scale
+    t = (s - tau) * peak
     J = (V * t) @ U.T if wide else (U * t) @ V.T
     return J, float(t.sum())
 

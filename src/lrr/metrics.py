@@ -6,6 +6,7 @@ import numpy as np
 
 from .errors import UndefinedMetricError
 from .linalg import as_matrix, skinny_svd, singular_values
+from .solver import SOLUTION_RANK_TOL
 
 STRATEGIES = ("global", "local", "auto")
 
@@ -83,8 +84,9 @@ def auc(scores, truth):
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def recovery_error(Z_star, V0, rank_tol=1e-4):
-    """Distance between the column-space projector of ``Z_star`` and the
+def recovery_error(Z_star, V0):
+    """Distance between the column-space projector of ``Z_star`` (singular
+    values up to ``SOLUTION_RANK_TOL * sigma_max`` dropped) and the
     projector ``V0 V0^T``, relative to ``||V0 V0^T||_F``.
 
     Both sides are projectors, so the value is basis-independent. A zero
@@ -94,7 +96,7 @@ def recovery_error(Z_star, V0, rank_tol=1e-4):
     gram = V0.T @ V0
     if not np.allclose(gram, np.eye(V0.shape[1]), atol=1e-6):
         raise ValueError("V0 must have orthonormal columns")
-    f = skinny_svd(Z_star, rank_tol)
+    f = skinny_svd(Z_star, SOLUTION_RANK_TOL)
     P = f.U @ f.U.T
     Q = V0 @ V0.T
     return float(np.linalg.norm(P - Q) / np.linalg.norm(Q))

@@ -65,13 +65,13 @@ def make_fig3_dataset(seed=0):
     return synth.normalize_columns(synth.sample(ens, 20, seed=s[1]))
 
 
-def make_fig4_dataset(seed=0, n_outliers=50, outlier_scale=3.0):
+def make_fig4_dataset(seed=0):
     """5 pairwise disjoint rank-4 subspaces in R^200, 40 samples each, plus
-    appended Gaussian outliers at 3x the sample magnitude."""
+    50 appended Gaussian outliers at 3x the sample magnitude."""
     s = _subseeds(seed, 3)
     ens = synth.gen_ensemble(5, 4, 200, mode="disjoint", seed=s[0])
     ds = synth.sample(ens, 40, seed=s[1])
-    ds = synth.add_outliers(ds, n_outliers, outlier_scale, seed=s[2])
+    ds = synth.add_outliers(ds, 50, 3.0, seed=s[2])
     return synth.normalize_columns(ds)
 
 
@@ -85,19 +85,17 @@ def make_fig5_dataset(seed=0, corrupt_scale=0.7):
     return synth.normalize_columns(ds)
 
 
-def make_fig6_dataset(seed=0, noise_level=FIG6_NOISE_LEVEL,
-                      corrupt_scale=FIG6_CORRUPT_SCALE,
-                      outlier_scale=FIG6_OUTLIER_SCALE):
+def make_fig6_dataset(seed=0):
     """10 pairwise disjoint rank-4 subspaces in R^2000, 40 samples each;
     10% of the samples grossly corrupted, the rest lightly noised, and 100
-    outliers appended. The default levels put the planted error ratio near
-    0.63."""
+    outliers appended. The ``FIG6_*`` levels put the planted error ratio
+    near 0.63."""
     s = _subseeds(seed, 5)
     ens = synth.gen_ensemble(10, 4, 2000, mode="disjoint", seed=s[0])
     ds = synth.sample(ens, 40, seed=s[1])
-    ds = synth.corrupt_samples(ds, 0.10, corrupt_scale, seed=s[2])
-    ds = synth.add_noise(ds, noise_level, seed=s[3])
-    ds = synth.add_outliers(ds, 100, outlier_scale, seed=s[4])
+    ds = synth.corrupt_samples(ds, 0.10, FIG6_CORRUPT_SCALE, seed=s[2])
+    ds = synth.add_noise(ds, FIG6_NOISE_LEVEL, seed=s[3])
+    ds = synth.add_outliers(ds, 100, FIG6_OUTLIER_SCALE, seed=s[4])
     return synth.normalize_columns(ds)
 
 
@@ -117,16 +115,18 @@ def replicate_fig3(seed=0):
     )
 
 
-def replicate_fig4(seed=0, lambdas=FIG4_LAMBDAS):
-    if not lambdas:
-        raise ValueError("lambdas must be non-empty")
+def replicate_fig4(seed=0):
+    """One ``l21`` self-expressive solve per lambda of ``FIG4_LAMBDAS`` on
+    :func:`make_fig4_dataset`: recovery error, exact outlier identification
+    and iterations per lambda, the outlier AUC, and plot tables of the
+    lambda = 0.25 solve."""
     ds = make_fig4_dataset(seed)
     rows = []
     per_lambda = {}
     rep_sol = None
     rep_norms = None
     rep_aff = None
-    for lam in lambdas:
+    for lam in FIG4_LAMBDAS:
         sol = solver.solve_lrr_self(ds.X, "l21", solver.SolverOptions(lam=lam))
         rec = metrics.recovery_error(sol.Z, ds.V0)
         max_clean, min_out, detected = _outlier_gap(sol.E, ds)
@@ -156,7 +156,7 @@ def replicate_fig4(seed=0, lambdas=FIG4_LAMBDAS):
         figure="fig4",
         config={"k": 5, "dim": 4, "ambient": 200, "per_subspace": 40,
                 "n_outliers": 50, "outlier_scale": 3.0,
-                "lambdas": list(lambdas), "seed": seed},
+                "lambdas": list(FIG4_LAMBDAS), "seed": seed},
         metrics={
             "per_lambda": per_lambda,
             "all_exact": all(v["exact_recovery"] for v in per_lambda.values()),
@@ -215,7 +215,11 @@ def replicate_fig5b(seed=0):
     return _replicate_fig5("fig5b", seed, 3.5)
 
 
-def replicate_fig6(seed=0, segment=True):
+def replicate_fig6(seed=0):
+    """One ``l21`` self-expressive solve at ``FIG6_LAMBDA`` on
+    :func:`make_fig6_dataset`, its affinity and a 10-way segmentation:
+    recovery error, planted error ratio and segmentation accuracy on the
+    authentic samples."""
     ds = make_fig6_dataset(seed)
     sol = solver.solve_lrr_self(ds.X, "l21", solver.SolverOptions(lam=FIG6_LAMBDA))
     rec = metrics.recovery_error(sol.Z, ds.V0)
@@ -225,14 +229,12 @@ def replicate_fig6(seed=0, segment=True):
         "iterations": sol.iterations,
         "converged": bool(sol.converged),
     }
-    labels = None
     aff = cluster.build_affinity(sol.Z)
-    if segment:
-        labels = cluster.ncut_segment(aff, 10, seed=seed)
-        auth = ds.authentic_indices()
-        out["segmentation_accuracy_authentic"] = metrics.segmentation_accuracy(
-            labels[auth], ds.true_labels[auth]
-        )
+    labels = cluster.ncut_segment(aff, 10, seed=seed)
+    auth = ds.authentic_indices()
+    out["segmentation_accuracy_authentic"] = metrics.segmentation_accuracy(
+        labels[auth], ds.true_labels[auth]
+    )
     return ReplicationOutput(
         figure="fig6",
         config={"k": 10, "dim": 4, "ambient": 2000, "per_subspace": 40,

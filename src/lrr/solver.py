@@ -25,6 +25,11 @@ from .linalg import column_shrink, entry_shrink
 
 ERROR_MODELS = ("l21", "l1", "frobenius_sq")
 
+# Rank cutoff applied to solver output before factoring it (affinity,
+# recovery error): converged iterates carry junk singular values around the
+# stopping tolerance, and each spurious direction would count in full.
+SOLUTION_RANK_TOL = 1e-4
+
 
 def error_norm(E, model):
     """The error penalty err(E) for the given model tag."""
@@ -54,7 +59,6 @@ class SolverOptions:
     rho: float = 1.1
     eps: float = 1e-8
     max_iters: int = 1000
-    seed: int = 0  # reserved for stochastic extensions
 
     def __post_init__(self):
         if not self.lam > 0:
@@ -69,8 +73,6 @@ class SolverOptions:
             raise ValueError("eps must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -264,8 +266,9 @@ def reduce_dictionary(A):
     return ReducedDictionary(B=A @ P, P_star=P, r_A=f.rank)
 
 
-def solve_lrr_reduced(X, A, model="l21", opts=None, reduction=None):
-    """Solve on the reduced dictionary and map the representation back.
+def solve_lrr_reduced(X, A, model="l21", opts=None):
+    """Solve on the reduced dictionary ``A P_star`` of :func:`reduce_dictionary`
+    and map the representation back.
 
     Equivalent to ``solve_lrr(X, A, ...)`` up to solver tolerance; the
     nuclear norm is invariant under the orthonormal back-map, so the
@@ -273,7 +276,7 @@ def solve_lrr_reduced(X, A, model="l21", opts=None, reduction=None):
     the original dictionary.
     """
     X = as_matrix(X, "X")
-    rd = reduce_dictionary(A) if reduction is None else reduction
+    rd = reduce_dictionary(A)
     inner = solve_lrr(X, rd.B, model, opts)
     Z = rd.P_star @ inner.Z
     feas = float(np.abs(X - as_matrix(A, "A") @ Z - inner.E).max())
@@ -284,25 +287,27 @@ def solve_lrr_self(X, model="l21", opts=None):
     """Self-expressive solve with the data itself as dictionary (A = X).
 
     The minimizer lies in the row space of X, so with ``X = U S V^T`` the
-    problem is solved exactly for ``Z = V Z'`` on the dictionary ``U S``.
-    For ``l21`` and ``frobenius_sq`` every iterate of E also stays in
-    span(U) and the penalty is invariant under U, so the ambient rows drop
-    out too: the solve runs on ``S V^T`` with dictionary ``diag(S)`` and
-    lifts ``E = U E'``. ``l1`` is not rotation-invariant and keeps the rows.
+    problem is solved exactly for ``Z = V Z'`` by one :func:`solve_lrr`. For
+    ``l1``, which is not rotation-invariant, that solve runs on ``X`` with
+    dictionary ``U S``. For ``l21`` and ``frobenius_sq`` every iterate of E
+    also stays in span(U) and the penalty is invariant under U, so the
+    ambient rows drop out too: the solve runs on ``S V^T`` with dictionary
+    ``diag(S)`` and ``E = U E'``. The feasibility residual
+    ``final_residuals[0]`` is recomputed on X after the lift.
     """
     X = as_matrix(X, "X")
     if not X.any():
         raise DegenerateInputError("self-expressive solve needs a nonzero matrix")
     f = skinny_svd(X)
     if model == "l1":
-        rd = ReducedDictionary(B=f.U * f.sigma, P_star=f.V, r_A=f.rank)
-        return solve_lrr_reduced(X, X, model, opts, reduction=rd)
-    Xc = f.sigma[:, None] * f.V.T
-    rd = ReducedDictionary(B=np.diag(f.sigma), P_star=f.V, r_A=f.rank)
-    sol = solve_lrr_reduced(Xc, Xc, model, opts, reduction=rd)
-    E = f.U @ sol.E
-    feas = float(np.abs(X - X @ sol.Z - E).max())
-    return replace(sol, E=E, final_residuals=(feas, sol.final_residuals[1]))
+        sol = solve_lrr(X, f.U * f.sigma, model, opts)
+        E = sol.E
+    else:
+        sol = solve_lrr(f.sigma[:, None] * f.V.T, np.diag(f.sigma), model, opts)
+        E = f.U @ sol.E
+    Z = f.V @ sol.Z
+    feas = float(np.abs(X - X @ Z - E).max())
+    return replace(sol, Z=Z, E=E, final_residuals=(feas, sol.final_residuals[1]))
 
 
 def lambda_outlier_default(X, gamma_star):

@@ -73,6 +73,13 @@ class TestSolveCommand:
                      "--lambda", "1", "--output", str(tmp_path / "o")])
         assert code == 2
 
+    def test_self_and_dict_together_exit_2(self, tmp_path):
+        _, x_path, _ = write_dataset(tmp_path)
+        out = tmp_path / "o"
+        assert main(["solve", "--input", x_path, "--self", "--dict", x_path,
+                     "--lambda", "1", "--output", str(out)]) == 2
+        assert not out.exists()
+
     def test_missing_lambda_exit_2(self, tmp_path):
         _, x_path, _ = write_dataset(tmp_path)
         assert main(["solve", "--input", x_path, "--self",
@@ -183,6 +190,13 @@ class TestSegmentCommand:
         record = matio.read_json(out / "result.json")
         assert record["metrics"]["accuracy"] is None
         assert record["metric_reasons"]["accuracy"] == "no ground truth"
+
+    def test_dict_rejected_exit_2(self, tmp_path):
+        _, x_path, _ = write_dataset(tmp_path)
+        out = tmp_path / "o"
+        assert main(["segment", "--input", x_path, "--dict", x_path, "--k", "3",
+                     "--lambda", "1000", "--output", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestDetectOutliersCommand:

@@ -31,7 +31,6 @@ class TestSolverOptions:
             {"lam": 1.0, "rho": 1.0},
             {"lam": 1.0, "eps": 0.0},
             {"lam": 1.0, "max_iters": 0},
-            {"lam": 1.0, "seed": -1},
         ],
     )
     def test_validation(self, kwargs):
@@ -265,6 +264,24 @@ class TestSolveLrrSelf:
         direct = solver.solve_lrr(X, X, model, opts)
         assert np.abs(fast.Z - direct.Z).max() < 1e-6
         assert np.abs(fast.E - direct.E).max() < 1e-6
+
+    @pytest.mark.parametrize("model", solver.ERROR_MODELS)
+    def test_one_solve_path(self, model, monkeypatch):
+        # one solve_lrr in the SVD coordinates of X, no reduction, and the
+        # feasibility residual measured on X itself
+        calls = {"solve_lrr": 0, "solve_lrr_reduced": 0, "reduce_dictionary": 0}
+        for name in calls:
+            real = getattr(solver, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(solver, name, counted)
+        X = rand((12, 4), 55) @ rand((4, 9), 56)
+        sol = solver.solve_lrr_self(X, model, solver.SolverOptions(lam=0.7))
+        assert calls == {"solve_lrr": 1, "solve_lrr_reduced": 0, "reduce_dictionary": 0}
+        assert sol.final_residuals[0] == np.abs(X - X @ sol.Z - sol.E).max()
 
     def test_wide_frobenius_converges(self):
         # 150 unit columns in R^100 from 5 rank-3 subspaces with 10% noise;
