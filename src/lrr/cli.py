@@ -7,11 +7,18 @@ Subcommands::
     lrr detect-outliers  solve + column-norm thresholding, ROC/AUC when truth given
     lrr replicate        run a built-in benchmark recipe, writes metrics + plot CSVs
 
+Each ``cmd_*`` computes and returns ``(csvs, solution, fields)``: the
+matrices to write as ``<name>.csv``, the solver's :class:`LrrSolution` (or
+``None``), and the ``result.json`` fields it sets. :func:`main` alone times
+the command, fills in the rest of the record, writes the files and picks
+the exit code.
+
 Exit codes: 0 success, 2 argument or parse error, 3 numerical failure,
 4 solver hit the iteration cap (results are still written).
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -29,6 +36,12 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_NO_CONVERGENCE = 4
 
+# The ADM schedule fields of SolverOptions; each is one flag (--mu-init, ...)
+# whose type and default are the field's own.
+SCHEDULE = [f for f in dataclasses.fields(solver.SolverOptions) if f.name != "lam"]
+SOLVER_FIELDS = ("iterations", "converged", "final_residuals", "objective",
+                 "objective_trace")
+
 
 def _seed(args):
     """``--seed``, else the ``LRR_SEED`` environment variable, else 0."""
@@ -45,11 +58,9 @@ def _add_solver_args(p):
                    help="named preset (motion = 4.0) instead of --lambda")
     p.add_argument("--error-norm", dest="model", default="l21",
                    choices=list(solver.ERROR_MODELS))
-    p.add_argument("--mu-init", type=float, default=1e-6)
-    p.add_argument("--mu-max", type=float, default=1e6)
-    p.add_argument("--rho", type=float, default=1.1)
-    p.add_argument("--eps", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=1000)
+    for f in SCHEDULE:
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                       default=f.default)
 
 
 def _add_io_args(p, dictionary=True):
@@ -69,16 +80,18 @@ def _add_io_args(p, dictionary=True):
 
 
 def build_parser():
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--output", required=True, help="output directory")
     ap = argparse.ArgumentParser(prog="lrr")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="run one representation solve")
+    p = sub.add_parser("solve", parents=[common], help="run one representation solve")
     _add_io_args(p)
     _add_solver_args(p)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output", required=True, help="output directory")
 
-    p = sub.add_parser("segment", help="solve + affinity + spectral segmentation")
+    p = sub.add_parser("segment", parents=[common],
+                       help="solve + affinity + spectral segmentation")
     _add_io_args(p, dictionary=False)
     _add_solver_args(p)
     p.add_argument("--k", default="auto", help="cluster count or 'auto'")
@@ -87,22 +100,18 @@ def build_parser():
     p.add_argument("--delta", type=float, default=None,
                    help="column-norm threshold for outlier detection")
     p.add_argument("--truth", default=None, help="ground-truth labels CSV")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output", required=True)
 
-    p = sub.add_parser("detect-outliers", help="solve + outlier thresholding")
+    p = sub.add_parser("detect-outliers", parents=[common],
+                       help="solve + outlier thresholding")
     _add_io_args(p)
     _add_solver_args(p)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--truth", default=None,
                    help="0/1 outlier indicator CSV for ROC/AUC")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output", required=True)
 
-    p = sub.add_parser("replicate", help="run a built-in benchmark recipe")
-    p.add_argument("--figure", required=True, choices=list(recipes.FIGURES))
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output", required=True)
+    p = sub.add_parser("replicate", parents=[common],
+                       help="run a built-in benchmark recipe")
+    p.add_argument("--figure", required=True, choices=list(recipes.RECIPES))
 
     return ap
 
@@ -114,9 +123,7 @@ def _solver_options(args):
         lam = args.lam
     else:
         raise ValueError("--lambda (or --lambda-preset) is required")
-    return solver.SolverOptions(lam=lam, mu_init=args.mu_init, mu_max=args.mu_max,
-                                rho=args.rho, eps=args.eps,
-                                max_iters=args.max_iters)
+    return solver.SolverOptions(lam=lam, **{f.name: getattr(args, f.name) for f in SCHEDULE})
 
 
 def _load_input(args):
@@ -126,8 +133,19 @@ def _load_input(args):
     return X
 
 
-def _solve(args):
-    X = _load_input(args)
+def _read_truth(args, X):
+    """The ``--truth`` vector, read and checked against the columns of X
+    before any solve; ``None`` without ``--truth``."""
+    if args.truth is None:
+        return None
+    truth = matio.read_int_vector(args.truth)
+    if truth.size != X.shape[1]:
+        raise ValueError(f"{args.truth} holds {truth.size} entries, "
+                         f"the input has {X.shape[1]} samples")
+    return truth
+
+
+def _solve(args, X):
     opts = _solver_options(args)
     if args.dictionary is None:
         return solver.solve_lrr_self(X, args.model, opts)
@@ -135,70 +153,14 @@ def _solve(args):
     return solver.solve_lrr(X, A, args.model, opts)
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
-def _solution_record(sol):
-    return {
-        "iterations": sol.iterations,
-        "converged": bool(sol.converged),
-        "final_residuals": [float(r) for r in sol.final_residuals],
-        "objective": sol.objective,
-        "objective_trace": sol.objective_trace.tolist(),
-    }
-
-
-def _result_record(command, config, solver_diag, metric_values, metric_reasons,
-                   labels, outliers, started):
-    return _jsonable({
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "config": config,
-        "solver": solver_diag,
-        "metrics": metric_values,
-        "metric_reasons": metric_reasons,
-        "labels": labels,
-        "outliers": outliers,
-        "timing": {"total_s": time.perf_counter() - started},
-    })
-
-
-def _write_outputs(output, csvs, record):
-    """Write each matrix of ``csvs`` to ``<output>/<name>.csv`` and the
-    record to ``<output>/result.json``."""
-    os.makedirs(output, exist_ok=True)
-    for name, matrix in csvs.items():
-        matio.write_matrix_csv(os.path.join(output, f"{name}.csv"), matrix)
-    matio.write_json(os.path.join(output, "result.json"), record)
-
-
-def _config_echo(args):
-    return _jsonable({k: v for k, v in vars(args).items() if k != "output"})
-
-
 def cmd_solve(args):
-    started = time.perf_counter()
-    sol = _solve(args)
-    record = _result_record("solve", _config_echo(args), _solution_record(sol),
-                            {}, {}, None, None, started)
-    _write_outputs(args.output, {"Z": sol.Z, "E": sol.E}, record)
-    return EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
+    sol = _solve(args, _load_input(args))
+    return {"Z": sol.Z, "E": sol.E}, sol, {}
 
 
 def cmd_segment(args):
-    started = time.perf_counter()
     X = _load_input(args)
+    truth = _read_truth(args, X)
     opts = _solver_options(args)
     k = args.k if args.k == "auto" else int(args.k)
     result = cluster.segment(X, k, args.model, opts, tau=args.tau, delta=args.delta,
@@ -207,8 +169,7 @@ def cmd_segment(args):
     metric_values = {"k_hat": result.k_hat, "k_used": result.k,
                      "accuracy": None, "auc": None}
     reasons = {}
-    if args.truth is not None:
-        truth = matio.read_int_vector(args.truth)
+    if truth is not None:
         auth = truth >= 0
         if auth.any():
             metric_values["accuracy"] = metrics.segmentation_accuracy(
@@ -228,17 +189,15 @@ def cmd_segment(args):
         reasons["accuracy"] = "no ground truth"
         reasons["auc"] = "no ground truth"
 
-    record = _result_record("segment", _config_echo(args),
-                            _solution_record(result.solution), metric_values,
-                            reasons, result.labels,
-                            result.outliers, started)
-    _write_outputs(args.output, {"labels": result.labels.reshape(-1, 1)}, record)
-    return EXIT_OK if result.solution.converged else EXIT_NO_CONVERGENCE
+    return {"labels": result.labels.reshape(-1, 1)}, result.solution, {
+        "metrics": metric_values, "metric_reasons": reasons,
+        "labels": result.labels, "outliers": result.outliers}
 
 
 def cmd_detect_outliers(args):
-    started = time.perf_counter()
-    sol = _solve(args)
+    X = _load_input(args)
+    truth = _read_truth(args, X)
+    sol = _solve(args, X)
     scores = np.linalg.norm(sol.E, axis=0)
 
     outliers = None
@@ -249,40 +208,31 @@ def cmd_detect_outliers(args):
         metric_values["n_detected"] = int(outliers.size)
     else:
         reasons["n_detected"] = "no delta provided"
-    roc = None
-    if args.truth is not None:
-        truth = matio.read_int_vector(args.truth).astype(bool)
+    csvs = {"scores": scores.reshape(1, -1)}
+    if truth is not None:
+        truth = truth.astype(bool)
         try:
             metric_values["auc"] = metrics.auc(scores, truth)
-            roc = metrics.roc_sweep(scores, truth)
+            csvs["roc"] = metrics.roc_sweep(scores, truth)
         except UndefinedMetricError as exc:
             reasons["auc"] = str(exc)
     else:
         reasons["auc"] = "no ground truth"
 
-    csvs = {"scores": scores.reshape(1, -1)}
-    if roc is not None:
-        csvs["roc"] = roc
-    record = _result_record("detect-outliers", _config_echo(args),
-                            _solution_record(sol), metric_values, reasons,
-                            None, outliers, started)
-    _write_outputs(args.output, csvs, record)
-    return EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
+    return csvs, sol, {"metrics": metric_values, "metric_reasons": reasons,
+                       "outliers": outliers}
 
 
 def cmd_replicate(args):
-    started = time.perf_counter()
     seed = _seed(args)
     out = recipes.run_replication(args.figure, seed)
     csvs = dict(out.tables)
     if out.dataset is not None:
         csvs["X"] = out.dataset.X
         csvs["true_labels"] = out.dataset.true_labels.reshape(-1, 1)
-    record = _result_record("replicate", {"figure": args.figure, "seed": seed},
-                            None, out.metrics, {}, out.labels, out.outliers,
-                            started)
-    _write_outputs(args.output, csvs, record)
-    return EXIT_OK
+    return csvs, None, {"config": {"figure": args.figure, "seed": seed},
+                        "metrics": out.metrics, "labels": out.labels,
+                        "outliers": out.outliers}
 
 
 COMMANDS = {
@@ -299,14 +249,29 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
+    started = time.perf_counter()
     try:
-        return COMMANDS[args.command](args)
+        csvs, sol, fields = COMMANDS[args.command](args)
+        record = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "config": {k: v for k, v in vars(args).items() if k != "output"},
+            "solver": None if sol is None else {f: getattr(sol, f) for f in SOLVER_FIELDS},
+            "metrics": {}, "metric_reasons": {}, "labels": None, "outliers": None,
+            **fields,
+            "timing": {"total_s": time.perf_counter() - started},
+        }
+        os.makedirs(args.output, exist_ok=True)
+        for name, matrix in csvs.items():
+            matio.write_matrix_csv(os.path.join(args.output, f"{name}.csv"), matrix)
+        matio.write_json(os.path.join(args.output, "result.json"), record)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    return EXIT_OK if sol is None or sol.converged else EXIT_NO_CONVERGENCE
 
 
 def entrypoint():

@@ -10,6 +10,10 @@ from .linalg import as_matrix, skinny_svd
 from .solver import SOLUTION_RANK_TOL, solve_lrr_self
 
 DEFAULT_TAU = 0.08
+# k-means of ncut_segment: restarts from a farthest-point init, and the cap
+# on assignment sweeps per restart.
+KMEANS_RESTARTS = 20
+KMEANS_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -134,16 +138,16 @@ def _farthest_point_init(points, k, rng):
     return centers
 
 
-def _kmeans(points, k, rng, restarts=20, max_sweeps=100):
+def _kmeans(points, k, rng):
     """Seeded k-means with greedy farthest-point init; returns the labeling
     with the best within-cluster sum of squares over the restarts."""
     n = points.shape[0]
     best_labels = None
     best_cost = np.inf
-    for _ in range(restarts):
+    for _ in range(KMEANS_RESTARTS):
         centers = _farthest_point_init(points, k, rng)
         labels = np.full(n, -1)
-        for _ in range(max_sweeps):
+        for _ in range(KMEANS_MAX_SWEEPS):
             d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             new_labels = np.argmin(d2, axis=1)
             dist_to_own = d2[np.arange(n), new_labels]
@@ -173,8 +177,11 @@ def ncut_segment(W, k, seed=0):
     Embeds the samples with the k eigenvectors of the normalized Laplacian
     belonging to the smallest eigenvalues, scales the rows to unit length,
     and clusters with seeded k-means (greedy farthest-point initialization,
-    20 restarts, lowest within-cluster sum of squares kept). Isolated
-    (zero-degree) samples are assigned the last label.
+    ``KMEANS_RESTARTS`` restarts, lowest within-cluster sum of squares
+    kept). Isolated (zero-degree) samples all join the cluster that k-means
+    labelled last. Cluster ids are then numbered by first appearance
+    (sample 0 is in cluster 0, the next new cluster is 1, ...), so the ids
+    do not depend on which basis of a repeated eigenvalue ``eigh`` returns.
 
     Self-affinities play no part in a cut, so the diagonal of W is zeroed
     before the Laplacian is formed; with unit self-affinities the loops
@@ -199,7 +206,10 @@ def ncut_segment(W, k, seed=0):
     labels = _kmeans(emb, k, rng).astype(int)
     if not connected.all():
         labels[~connected] = k - 1
-    return labels
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
 
 
 def detect_outliers(E_star, delta):

@@ -55,7 +55,10 @@ def read_int_vector(path):
 
 
 def write_json(path, record):
-    _atomic_write_text(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
+    """Write ``record`` as sorted, indented JSON; NumPy arrays and scalars
+    are written as the lists and numbers of their ``tolist()``."""
+    text = json.dumps(record, indent=2, sort_keys=True, default=lambda v: v.tolist())
+    _atomic_write_text(path, text + "\n")
 
 
 def read_json(path):

@@ -14,8 +14,6 @@ import numpy as np
 
 from . import cluster, metrics, solver, synth
 
-FIGURES = ("fig3", "fig4", "fig5a", "fig5b", "fig6")
-
 # Reference parameter sets. fig4's lambda grid spans the window where
 # outliers are identified exactly; fig6's noise/corruption/outlier split is
 # calibrated so the planted error ratio ||E0||_F/||X0||_F lands near 0.63.
@@ -123,9 +121,6 @@ def replicate_fig4(seed=0):
     ds = make_fig4_dataset(seed)
     rows = []
     per_lambda = {}
-    rep_sol = None
-    rep_norms = None
-    rep_aff = None
     for lam in FIG4_LAMBDAS:
         sol = solver.solve_lrr_self(ds.X, "l21", solver.SolverOptions(lam=lam))
         rec = metrics.recovery_error(sol.Z, ds.V0)
@@ -144,10 +139,7 @@ def replicate_fig4(seed=0):
             "iterations": sol.iterations,
             "converged": bool(sol.converged),
         }
-        # keep one representative solution (prefer lam=0.25) for plot tables
-        if rep_sol is None or abs(lam - 0.25) < 1e-12:
-            rep_norms = np.linalg.norm(sol.E, axis=0)
-            rep_aff = cluster.build_affinity(sol.Z).W
+        if lam == 0.25:
             rep_sol = sol
     scores = np.linalg.norm(rep_sol.E, axis=0)
     truth = np.zeros(ds.n, dtype=bool)
@@ -164,8 +156,8 @@ def replicate_fig4(seed=0):
         },
         tables={
             "lambda_sweep": np.asarray(rows),
-            "error_column_norms": rep_norms.reshape(1, -1),
-            "affinity": rep_aff,
+            "error_column_norms": scores.reshape(1, -1),
+            "affinity": cluster.build_affinity(rep_sol.Z).W,
         },
         outliers=ds.outlier_indices,
         dataset=ds,
@@ -252,15 +244,16 @@ def replicate_fig6(seed=0):
     )
 
 
+RECIPES = {
+    "fig3": replicate_fig3,
+    "fig4": replicate_fig4,
+    "fig5a": replicate_fig5a,
+    "fig5b": replicate_fig5b,
+    "fig6": replicate_fig6,
+}
+
+
 def run_replication(figure, seed=0):
-    if figure == "fig3":
-        return replicate_fig3(seed)
-    if figure == "fig4":
-        return replicate_fig4(seed)
-    if figure == "fig5a":
-        return replicate_fig5a(seed)
-    if figure == "fig5b":
-        return replicate_fig5b(seed)
-    if figure == "fig6":
-        return replicate_fig6(seed)
-    raise ValueError(f"unknown figure {figure!r}; expected one of {FIGURES}")
+    if figure not in RECIPES:
+        raise ValueError(f"unknown figure {figure!r}; expected one of {tuple(RECIPES)}")
+    return RECIPES[figure](seed)

@@ -1,10 +1,14 @@
-import json
+import dataclasses
 
 import numpy as np
 import pytest
 
 from lrr import matio, solver, synth
 from lrr.cli import main
+
+# Top-level keys of result.json, as documented in the README.
+RESULT_KEYS = {"schema_version", "command", "config", "solver", "metrics",
+               "metric_reasons", "labels", "outliers", "timing"}
 
 
 def write_dataset(tmp_path, seed=0, outliers=0):
@@ -152,6 +156,29 @@ class TestSolveCommand:
                      "--output", str(out)]) == 3
         assert not (out / "Z.csv").exists()
 
+    @pytest.mark.parametrize("flag, field, value", [
+        ("--mu-init", "mu_init", 1e-5),
+        ("--mu-max", "mu_max", 1e5),
+        ("--rho", "rho", 1.5),
+        ("--eps", "eps", 1e-6),
+        ("--max-iters", "max_iters", 50),
+    ])
+    def test_schedule_flag_reaches_solver_options(self, tmp_path, monkeypatch,
+                                                  flag, field, value):
+        _, x_path, _ = write_dataset(tmp_path)
+        real = solver.solve_lrr_self
+        seen = []
+
+        def capturing(X, model, opts):
+            seen.append(opts)
+            return real(X, model, opts)
+
+        monkeypatch.setattr(solver, "solve_lrr_self", capturing)
+        assert main(["solve", "--input", x_path, "--self", "--lambda", "1000",
+                     flag, str(value), "--output", str(tmp_path / "o")]) in (0, 4)
+        assert seen == [dataclasses.replace(solver.SolverOptions(lam=1000.0),
+                                            **{field: value})]
+
     def test_overflow_exit_3(self, tmp_path):
         ds, _, _ = write_dataset(tmp_path)
         big_path = tmp_path / "big.csv"
@@ -191,6 +218,15 @@ class TestSegmentCommand:
         assert record["metrics"]["accuracy"] is None
         assert record["metric_reasons"]["accuracy"] == "no ground truth"
 
+    def test_truth_length_mismatch_exit_2(self, tmp_path):
+        _, x_path, _ = write_dataset(tmp_path)
+        t_path = tmp_path / "short.csv"
+        matio.write_matrix_csv(t_path, np.zeros((5, 1)))
+        out = tmp_path / "o"
+        assert main(["segment", "--input", x_path, "--k", "3", "--lambda", "1000",
+                     "--truth", str(t_path), "--output", str(out)]) == 2
+        assert not out.exists()
+
     def test_dict_rejected_exit_2(self, tmp_path):
         _, x_path, _ = write_dataset(tmp_path)
         out = tmp_path / "o"
@@ -221,6 +257,20 @@ class TestDetectOutliersCommand:
         assert main(["detect-outliers", "--input", x_path, "--lambda", "0.6",
                      "--delta", "1e9", "--output", str(out)]) == 0
         assert matio.read_json(out / "result.json")["outliers"] == []
+
+    def test_truth_length_mismatch_exit_2_before_solving(self, tmp_path, monkeypatch):
+        _, x_path, _ = write_dataset(tmp_path, outliers=4)
+        f_path = tmp_path / "short.csv"
+        matio.write_matrix_csv(f_path, np.zeros((5, 1)))
+
+        def no_solve(*args):
+            raise AssertionError("solved before checking --truth")
+
+        monkeypatch.setattr(solver, "solve_lrr_self", no_solve)
+        out = tmp_path / "o"
+        assert main(["detect-outliers", "--input", x_path, "--lambda", "0.6",
+                     "--truth", str(f_path), "--output", str(out)]) == 2
+        assert not out.exists()
 
     def test_no_truth_auc_null(self, tmp_path):
         _, x_path, _ = write_dataset(tmp_path, outliers=4)
@@ -253,6 +303,23 @@ class TestReplicateCommand:
         out = tmp_path / "o"
         assert main(["replicate", "--figure", "fig3", "--output", str(out)]) == 0
         assert matio.read_json(out / "result.json")["config"]["seed"] == 3
+
+
+@pytest.mark.parametrize("command, args", [
+    ("solve", ["--self", "--lambda", "1000"]),
+    ("segment", ["--k", "3", "--lambda", "1000"]),
+    ("detect-outliers", ["--lambda", "0.6", "--delta", "0.5"]),
+    ("replicate", ["--figure", "fig3"]),
+])
+def test_result_record_keys(tmp_path, command, args):
+    _, x_path, _ = write_dataset(tmp_path)
+    inputs = [] if command == "replicate" else ["--input", x_path]
+    out = tmp_path / "o"
+    assert main([command, *inputs, *args, "--output", str(out)]) == 0
+    record = matio.read_json(out / "result.json")
+    assert set(record) == RESULT_KEYS
+    assert record["command"] == command
+    assert (record["solver"] is None) == (command == "replicate")
 
 
 class TestUsage:

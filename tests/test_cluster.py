@@ -143,6 +143,11 @@ class TestNcutSegment:
             other = cluster.ncut_segment(W, 3, seed=seed)
             assert metrics.segmentation_accuracy(other, base) == 1.0
 
+    @pytest.mark.parametrize("sizes", [(4, 4), (3, 3, 3, 3)])
+    def test_ids_numbered_by_first_appearance(self, sizes):
+        labels = cluster.ncut_segment(block_affinity(*sizes), len(sizes), seed=0)
+        assert np.array_equal(labels, np.repeat(np.arange(len(sizes)), sizes))
+
     def test_isolated_nodes_get_last_label(self):
         W = block_affinity(4, 4, 1)
         W[8, 8] = 0.0  # disconnected, zero degree
