@@ -149,12 +149,114 @@ def norm(M, kind):
     raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
 
 
-def svt_with_nuclear(M, theta):
+# Extra vectors appended to the previous basis in the warm start, so that a
+# singular value crossing theta between sweeps is caught.
+_WARM_EXTRA = 8
+# Cap on the warm start's subspace-iteration steps. It stops as soon as its
+# Ritz pairs above theta meet the residual check; over a solve the steps
+# needed fall from about 10-20 in the first sweeps with a basis to 2.
+_WARM_STEPS = 30
+# The candidate path runs only when GATE * (k + _WARM_EXTRA) <= n for a
+# previous basis of k columns and an n x n Gram matrix. A step multiplies
+# the Gram matrix by the block and factors small matrices of its width, so
+# once the block passes about a quarter of n the steps cost more than the
+# full eigh they replace: ungated, the 70x70 Gram matrices of fig4 (k = 20)
+# made its five solves 40% slower.
+_WARM_GATE = 4
+
+
+def _orthonormalize(Y):
+    """CholeskyQR2: an orthonormal basis of the columns of ``Y``. Raises
+    ``LinAlgError`` when ``Y`` is too ill-conditioned for it."""
+    for _ in range(2):
+        L = np.linalg.cholesky(Y.T @ Y)
+        Y = Y @ np.linalg.inv(L).T
+    return Y
+
+
+def _ritz_triplets(N, B, tau, fro):
+    """Rayleigh-Ritz on the basis ``B``: the triplets ``(U, s, V)`` of ``N``
+    with ``s > tau``, or ``None`` when they fail the residual check."""
+    m = N.shape[0]
+    U, s, Wt = _raw_svd(N @ B)
+    keep = s > tau
+    U, s, V = U[:, keep], s[keep], B @ Wt[keep].T
+    if s.size and np.abs(N.T @ U - V * s).max() > 4 * m * _EPS * fro:
+        return None
+    return U, s, V
+
+
+def _certified_triplets(N, G, tau, fro, basis):
+    """The triplets above ``tau`` from a cheap candidate, or ``None`` when
+    the candidate is not proven exact."""
+    m, n = N.shape
+    k = 0 if basis is None else basis.shape[1]
+    if _WARM_GATE * (k + _WARM_EXTRA) > n:
+        return None
+    try:
+        if k:
+            # a fixed seed keeps the result a function of the inputs
+            extra = np.random.default_rng(0).standard_normal((n, _WARM_EXTRA))
+            GY = G @ np.hstack([basis, extra])
+            # a sixteenth of the residual check's bound: the accepted
+            # triplets then pass it with room to spare
+            target = m * _EPS * fro / 4
+            for _ in range(_WARM_STEPS):
+                Y = _orthonormalize(GY)
+                GY = G @ Y
+                w, Q = np.linalg.eigh(Y.T @ GY)
+                Q, w = Q[:, w > tau * tau], w[w > tau * tau]
+                residual = np.linalg.norm(GY @ Q - (Y @ Q) * w, axis=0)
+                if (residual <= target * np.sqrt(w)).all():
+                    break
+            found = _ritz_triplets(N, Y, tau, fro)
+            if found is None:
+                return None
+        else:
+            found = np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
+        U, s, V = found
+        VS = V * s
+        tail = VS @ VS.T
+        tail -= G
+        margin = (m + n + n * (n + 1)) * _EPS * (tau * tau + fro * fro)
+        tail[np.diag_indices(n)] += tau * tau - margin
+        np.linalg.cholesky(tail)
+    except np.linalg.LinAlgError:
+        return None
+    return found
+
+
+def _eigh_triplets(N, G, tau, fro):
+    """The triplets above ``tau`` from the full eigendecomposition of the
+    Gram matrix ``G``, or from the full SVD when its basis is not accurate
+    enough."""
+    m, n = N.shape
+    try:
+        w, B = np.linalg.eigh(G)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed on a {n}x{n} Gram matrix") from exc
+    B = B[:, w > tau * tau - (m + n) * _EPS * fro * fro]
+    if not B.shape[1]:
+        return np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
+    found = _ritz_triplets(N, B, tau, fro)
+    if found is None:
+        U, s, Vt = _raw_svd(N)
+        keep = s > tau
+        found = U[:, keep], s[keep], Vt[keep].T
+    return found
+
+
+def svt_with_nuclear(M, theta, basis=None):
     """Singular-value thresholding plus the nuclear norm of the result.
 
     Shrinks every singular value by ``theta`` (clamping at zero) and
-    reconstructs. The second return value, ``sum(max(sigma_i - theta, 0))``,
-    comes for free and is the nuclear norm of the output.
+    reconstructs. Returns ``(J, nuclear, V)``: the result; its nuclear norm
+    ``sum(max(sigma_i - theta, 0))``, which comes for free; and the kept
+    right singular basis ``V`` of ``M`` (of ``M^T`` when ``M`` is wide), with
+    one column per kept value and ``min(M.shape)`` rows. ``basis`` is such a
+    ``V`` from a previous call on a nearby matrix of the same shape, as in
+    consecutive sweeps of a solver. It only selects how the answer is
+    found: a bad basis can cost time, never accuracy.
 
     ``M`` is scaled by its largest absolute entry ``peak``: ``N = M / peak``,
     turned to have at least as many rows as columns, has an entry of
@@ -168,14 +270,49 @@ def svt_with_nuclear(M, theta):
     Frobenius norm, so every shrunk value clamps to zero. This certificate
     is exact, not a tolerance.
 
-    Otherwise only the singular triplets above ``theta`` are computed:
+    Otherwise, with ``G = N^T N`` (``n x n``) and ``k`` columns in
+    ``basis`` (0 without one), a cheap candidate is tried first when
+    ``4 (k + 8) <= n``; smaller Gram matrices, or larger bases, go straight
+    to step 1 below.
 
-    1. ``eigh`` of the Gram matrix ``N^T N`` on the smaller side. Its
-       eigenvectors with eigenvalue above ``tau^2 - (m + n) eps ||N||_F^2``
-       span the kept basis ``B``. The margin bounds the rounding of the Gram
-       product (``m eps ||N||_F^2``) plus the backward error of ``eigh``
-       (``n eps lambda_max <= n eps ||N||_F^2``), so no singular value
-       above ``theta`` is cut. An empty basis means a zero result.
+    - Without a basis the candidate is zero. With one, it comes from
+      subspace iteration on ``G`` from ``[basis, 8 fixed-seed Gaussian
+      vectors]``, each step orthonormalised by CholeskyQR2. It stops when
+      the Ritz pairs ``(w, y)`` of the block with ``w > tau^2`` have Gram
+      residuals ``||G y - w y|| / sqrt(w) <= m eps ||N||_F / 4``, a
+      sixteenth of the bound of the residual check below (``N^T u - s v =
+      (G v - s^2 v) / s``), or after 30 steps. The block then goes
+      through the Rayleigh-Ritz SVD and residual check of steps 2 and 3.
+    - Tail certificate: the candidate ``(U, S, V)`` is accepted only if the
+      Cholesky factorisation of ``(tau^2 - margin) I - (G - V S^2 V^T)``
+      succeeds. With ``r`` candidate triplets, the deflated matrix
+      ``G - V S^2 V^T`` differs from ``G`` by a matrix of rank ``r``, so by
+      Weyl's inequality ``sigma_{r+1}(N)^2`` is at most its largest
+      eigenvalue, which a successful factorisation puts below ``tau^2``,
+      however inaccurate ``V``: no singular value above ``tau`` is missed,
+      and step 3's check has shown the ``r`` kept ones accurate. The margin
+      ``(m + n + n (n + 1)) eps (tau^2 + ||N||_F^2)`` bounds the rounding of
+      ``G`` (``m eps ||N||_F^2``), of the deflation and the shift
+      (``n eps (tau^2 + ||N||_F^2)``), and the backward error of Cholesky,
+      whose success proves the factored matrix plus a perturbation of norm
+      at most ``(n + 1) eps trace <= n (n + 1) eps (tau^2 + ||N||_F^2)``
+      positive definite (Higham, *Accuracy and Stability of Numerical
+      Algorithms*, Thm 10.5). With no triplets, the same factorisation
+      certifies that the result is zero.
+    - Any failure of the candidate (a ``LinAlgError`` in CholeskyQR2, in
+      the block's ``eigh`` or in the certificate, or a failed residual
+      check) falls through to step 1. The extra vectors come from a fixed
+      seed, so the result is a deterministic function of
+      ``(M, theta, basis)``.
+
+    The full path computes only the singular triplets above ``theta``:
+
+    1. ``eigh`` of ``G``. Its eigenvectors with eigenvalue above
+       ``tau^2 - (m + n) eps ||N||_F^2`` span the kept basis ``B``. The
+       margin bounds the rounding of the Gram product (``m eps ||N||_F^2``)
+       plus the backward error of ``eigh`` (``n eps lambda_max <= n eps
+       ||N||_F^2``), so no singular value above ``theta`` is cut. An empty
+       basis means a zero result.
     2. Rayleigh-Ritz: the SVD ``N B = U S W^T`` gives the singular values
        and ``U`` accurately, with ``V = B W``; ``N V = U S`` then holds to
        the SVD's own roundoff.
@@ -185,39 +322,35 @@ def svt_with_nuclear(M, theta):
        values sit near the ``eigh`` noise floor ``sqrt(eps) sigma_max``;
        the full SVD of ``N`` then answers instead.
 
-    The result equals the full-SVD threshold to roundoff.
+    The result equals the full-SVD threshold to roundoff on every path.
     """
     peak = max(M.max(), -M.min())
     if not np.isfinite(peak):
         raise NumericalError(f"non-finite entries in a {M.shape[0]}x{M.shape[1]} SVT input")
-    if peak == 0.0:
-        return np.zeros(M.shape), 0.0
     wide = M.shape[0] < M.shape[1]
+    n = min(M.shape)
+    if basis is not None and basis.shape[0] != n:
+        raise ValueError(f"basis has {basis.shape[0]} rows, expected {n}")
+    zero = np.zeros(M.shape), 0.0, np.zeros((n, 0))
+    if peak == 0.0:
+        return zero
     N = (M.T if wide else M) / peak
-    m, n = N.shape
     with np.errstate(over="ignore"):
         # inf when theta dwarfs every entry; the certificate then answers
         tau = theta / peak
     fro = np.linalg.norm(N)
     if fro <= tau:
-        return np.zeros(M.shape), 0.0
-    try:
-        w, B = np.linalg.eigh(N.T @ N)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed on a {n}x{n} Gram matrix") from exc
-    B = B[:, w > tau * tau - (m + n) * _EPS * fro * fro]
-    if not B.shape[1]:
-        return np.zeros(M.shape), 0.0
-    U, s, Wt = _raw_svd(N @ B)
-    keep = s > tau
-    U, s, V = U[:, keep], s[keep], B @ Wt[keep].T
-    if s.size and np.abs(N.T @ U - V * s).max() > 4 * m * _EPS * fro:
-        U, s, Vt = _raw_svd(N)
-        keep = s > tau
-        U, s, V = U[:, keep], s[keep], Vt[keep].T
+        return zero
+    G = N.T @ N
+    found = _certified_triplets(N, G, tau, fro, basis)
+    if found is None:
+        found = _eigh_triplets(N, G, tau, fro)
+    U, s, V = found
+    if not s.size:
+        return zero
     t = (s - tau) * peak
     J = (V * t) @ U.T if wide else (U * t) @ V.T
-    return J, float(t.sum())
+    return J, float(t.sum()), V
 
 
 def svt(M, theta):
@@ -241,12 +374,19 @@ def column_shrink(Q, alpha):
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    Q = as_matrix(Q)
+    return _column_shrink(as_matrix(Q), alpha)[0]
+
+
+def _column_shrink(Q, alpha):
+    """:func:`column_shrink` of a finite 2-D float array, without the
+    checks, plus the column norms ``max(||q_i|| - alpha, 0)`` of the result.
+    For the solver's sweep, whose operands are finite by construction."""
     norms = np.linalg.norm(Q, axis=0)
+    kept = np.maximum(norms - alpha, 0.0)
     scale = np.zeros_like(norms)
-    over = norms > alpha
-    scale[over] = (norms[over] - alpha) / norms[over]
-    return Q * scale
+    over = kept > 0.0
+    scale[over] = kept[over] / norms[over]
+    return Q * scale, kept
 
 
 def entry_shrink(Q, alpha):

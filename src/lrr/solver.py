@@ -21,7 +21,7 @@ import scipy.linalg
 
 from .errors import DegenerateInputError, FeasibilityError, NumericalError
 from .linalg import as_matrix, norm, pseudoinverse, skinny_svd, svt_with_nuclear
-from .linalg import column_shrink, entry_shrink
+from .linalg import _column_shrink, entry_shrink
 
 ERROR_MODELS = ("l21", "l1", "frobenius_sq")
 
@@ -171,6 +171,7 @@ def solve_lrr(X, A, model="l21", opts=None):
     E = np.zeros((d, n))
     Y1 = np.zeros((d, n))
     Y2 = np.zeros((n_a, n))
+    basis = None
 
     obj_trace = []
     mu_trace = []
@@ -181,19 +182,22 @@ def solve_lrr(X, A, model="l21", opts=None):
         iterations += 1
         mu_trace.append(mu)
 
-        J, j_nuclear = svt_with_nuclear(Z + Y2 / mu, 1.0 / mu)
+        J, j_nuclear, basis = svt_with_nuclear(Z + Y2 / mu, 1.0 / mu, basis)
 
         Z = z_solve(apply_at(X - E) + J + (apply_at(Y1) - Y2) / mu)
 
         AZ = apply_a(Z)
         G = X - AZ + Y1 / mu
         if model == "l21":
-            E = column_shrink(G, lam / mu)
+            E, e_norms = _column_shrink(G, lam / mu)
+            err = float(e_norms.sum())
         elif model == "l1":
             E = entry_shrink(G, lam / mu)
+            err = error_norm(E, model)
         else:
             # argmin_E lam*||E||_F^2 + (mu/2)*||E - G||_F^2 = mu*G/(2*lam + mu)
             E = (mu / (2.0 * lam + mu)) * G
+            err = error_norm(E, model)
 
         R1 = X - AZ - E
         R2 = Z - J
@@ -207,7 +211,7 @@ def solve_lrr(X, A, model="l21", opts=None):
         Y2 = Y2 + mu * R2
         mu = min(opts.rho * mu, opts.mu_max)
 
-        obj_trace.append(j_nuclear + lam * error_norm(E, model))
+        obj_trace.append(j_nuclear + lam * err)
         if r1 < opts.eps and r2 < opts.eps:
             converged = True
             break

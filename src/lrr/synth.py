@@ -6,8 +6,9 @@ Every generator is a pure function of its inputs and seed; datasets are
 immutable and each mutation returns a new one with ``X == X0 + E0`` kept
 exact (X is recomputed from the parts)."""
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +40,7 @@ class SyntheticDataset:
 
     ``true_labels`` holds the subspace index per column, -1 for outliers.
     Columns of X0 at ``outlier_indices`` are exactly zero. ``V0`` is an
-    orthonormal basis of the row space of X0.
+    orthonormal basis of the row space of X0, computed on first read.
     """
 
     X: np.ndarray
@@ -48,7 +49,10 @@ class SyntheticDataset:
     true_labels: np.ndarray
     outlier_indices: np.ndarray
     corrupted_indices: np.ndarray
-    V0: np.ndarray
+
+    @functools.cached_property
+    def V0(self):
+        return skinny_svd(self.X0).V
 
     @property
     def n(self):
@@ -117,8 +121,7 @@ def gen_ensemble(k, dim, ambient, mode="disjoint", seed=0):
     return SubspaceEnsemble(bases=tuple(bases), mode=mode, seed=seed)
 
 
-def _rebuild(ds, X0, E0, labels, outliers, corrupted, refresh_v0):
-    V0 = skinny_svd(X0).V if refresh_v0 else ds.V0
+def _rebuild(X0, E0, labels, outliers, corrupted):
     return SyntheticDataset(
         X=X0 + E0,
         X0=X0,
@@ -126,7 +129,6 @@ def _rebuild(ds, X0, E0, labels, outliers, corrupted, refresh_v0):
         true_labels=labels,
         outlier_indices=outliers,
         corrupted_indices=corrupted,
-        V0=V0,
     )
 
 
@@ -148,7 +150,6 @@ def sample(ens, per_subspace, seed=0):
         true_labels=labels,
         outlier_indices=empty,
         corrupted_indices=empty.copy(),
-        V0=skinny_svd(X0).V,
     )
 
 
@@ -186,7 +187,7 @@ def add_outliers(ds, count, magnitude_scale=3.0, seed=0, shuffle=False):
         inv[perm] = np.arange(perm.size)
         outliers = np.sort(inv[outliers])
         corrupted = np.sort(inv[corrupted])
-    return _rebuild(ds, X0, E0, labels, outliers, corrupted, refresh_v0=True)
+    return _rebuild(X0, E0, labels, outliers, corrupted)
 
 
 def corrupt_samples(ds, fraction, magnitude_scale=0.7, seed=0):
@@ -211,8 +212,7 @@ def corrupt_samples(ds, fraction, magnitude_scale=0.7, seed=0):
     E0 = ds.E0.copy()
     E0[:, chosen] += noise
     corrupted = np.union1d(ds.corrupted_indices, chosen)
-    return _rebuild(ds, ds.X0, E0, ds.true_labels, ds.outlier_indices, corrupted,
-                    refresh_v0=False)
+    return _rebuild(ds.X0, E0, ds.true_labels, ds.outlier_indices, corrupted)
 
 
 def add_noise(ds, level, seed=0):
@@ -231,8 +231,7 @@ def add_noise(ds, level, seed=0):
     rms = float(np.sqrt(np.mean(ds.X0[:, auth] ** 2)))
     E0 = ds.E0.copy()
     E0[:, targets] += rng.normal(0.0, level * rms, size=(ds.d, targets.size))
-    return _rebuild(ds, ds.X0, E0, ds.true_labels, ds.outlier_indices,
-                    ds.corrupted_indices, refresh_v0=False)
+    return _rebuild(ds.X0, E0, ds.true_labels, ds.outlier_indices, ds.corrupted_indices)
 
 
 def unit_column_scale(X):
@@ -246,14 +245,14 @@ def normalize_columns(ds):
     """Rescale every observed column of X to unit Euclidean norm.
 
     X0 and E0 columns are scaled by the same factors, so all dataset
-    invariants are preserved; V0 is recomputed for the rescaled clean part.
+    invariants are preserved; V0 follows the rescaled clean part.
     This is the standard preprocessing for the benchmark recipes: the
     solver's behavior at a given lam is only meaningful relative to the
     sample magnitude. Columns with zero norm are left untouched.
     """
     scale = unit_column_scale(ds.X)
-    return _rebuild(ds, ds.X0 * scale, ds.E0 * scale, ds.true_labels,
-                    ds.outlier_indices, ds.corrupted_indices, refresh_v0=True)
+    return _rebuild(ds.X0 * scale, ds.E0 * scale, ds.true_labels,
+                    ds.outlier_indices, ds.corrupted_indices)
 
 
 def smallest_principal_angle(B1, B2):

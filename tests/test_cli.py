@@ -143,14 +143,14 @@ class TestSolveCommand:
 
     def test_non_finite_iterate_exit_3(self, tmp_path, monkeypatch):
         _, x_path, _ = write_dataset(tmp_path)
-        real = solver.column_shrink
+        real = solver._column_shrink
 
         def poisoned(G, alpha):
-            out = real(G, alpha)
+            out, norms = real(G, alpha)
             out[0, 0] = np.nan
-            return out
+            return out, norms
 
-        monkeypatch.setattr(solver, "column_shrink", poisoned)
+        monkeypatch.setattr(solver, "_column_shrink", poisoned)
         out = tmp_path / "o"
         assert main(["solve", "--input", x_path, "--self", "--lambda", "1",
                      "--output", str(out)]) == 3

@@ -224,7 +224,7 @@ class TestSvt:
         theta = np.linalg.norm(M)
         # in the last case theta / max|M| overflows to inf
         for M, t in ((M, theta), (M, 2.0 * theta), (M * 1e-310, 1.0)):
-            J, nuclear = linalg.svt_with_nuclear(M, t)
+            J, nuclear, _ = linalg.svt_with_nuclear(M, t)
             assert J.shape == M.shape and not J.any()
             assert nuclear == 0.0
 
@@ -235,7 +235,7 @@ class TestSvt:
             raise AssertionError("SVD ran though no singular value exceeds theta")
 
         monkeypatch.setattr(linalg, "_raw_svd", no_svd)
-        J, nuclear = linalg.svt_with_nuclear(np.eye(4), 1.5)
+        J, nuclear, _ = linalg.svt_with_nuclear(np.eye(4), 1.5)
         assert J.shape == (4, 4) and not J.any()
         assert nuclear == 0.0
 
@@ -255,7 +255,7 @@ class TestSvt:
             return real(A)
 
         monkeypatch.setattr(linalg, "_raw_svd", recorded_svd)
-        J, nuclear = linalg.svt_with_nuclear(M, 1.5)
+        J, nuclear, _ = linalg.svt_with_nuclear(M, 1.5)
         assert shapes and all(min(s) <= 3 for s in shapes)
         J_ref, nuclear_ref = oracles.svt_by_full_svd(M, 1.5)
         assert np.abs(J - J_ref).max() <= 1e-12 * 3.0
@@ -283,7 +283,7 @@ class TestSvt:
 
         monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh)
         monkeypatch.setattr(linalg, "_raw_svd", recorded_svd)
-        J, nuclear = linalg.svt_with_nuclear(M, theta)
+        J, nuclear, _ = linalg.svt_with_nuclear(M, theta)
         assert len(shapes) == 2 and shapes[0][1] < 12 and shapes[1] == (30, 12)
         J_ref, nuclear_ref = oracles.svt_by_full_svd(M, theta)
         smax = np.linalg.norm(M, 2)
@@ -297,7 +297,7 @@ class TestSvt:
         with np.errstate(over="ignore"):
             assert np.linalg.norm(M) == np.inf
         smax = np.linalg.norm(M, 2)
-        J, nuclear = linalg.svt_with_nuclear(M, 0.5 * smax)
+        J, nuclear, _ = linalg.svt_with_nuclear(M, 0.5 * smax)
         J_ref, nuclear_ref = oracles.svt_by_full_svd(M, 0.5 * smax)
         assert np.abs(J - J_ref).max() <= 1e-12 * smax
         assert nuclear == pytest.approx(nuclear_ref, rel=1e-12)
@@ -306,7 +306,7 @@ class TestSvt:
         # the squares of 3e-170 and 1e-170 underflow to 0, so a Frobenius
         # norm taken directly reads 0 and the zero certificate would fire
         M = np.diag([3e-170, 1e-170])
-        J, nuclear = linalg.svt_with_nuclear(M, 0.0)
+        J, nuclear, _ = linalg.svt_with_nuclear(M, 0.0)
         np.testing.assert_allclose(J, M, rtol=0.0, atol=1e-12 * 3e-170)
         assert nuclear == pytest.approx(4e-170, rel=1e-12)
         np.testing.assert_allclose(linalg.svt(M, 0.0), M, rtol=0.0, atol=1e-12 * 3e-170)
@@ -331,12 +331,12 @@ class TestSvt:
     def test_matches_full_svd_threshold(self, case):
         M, theta = case
         smax = np.linalg.norm(M, 2)
-        J, nuclear = linalg.svt_with_nuclear(M, theta)
+        J, nuclear, _ = linalg.svt_with_nuclear(M, theta)
         J_ref, nuclear_ref = oracles.svt_by_full_svd(M, theta)
         assert J.shape == M.shape
         assert np.abs(J - J_ref).max() <= 1e-12 * smax
         assert abs(nuclear - nuclear_ref) <= 1e-12 * smax
-        J2, nuclear2 = linalg.svt_with_nuclear(M, theta)
+        J2, nuclear2, _ = linalg.svt_with_nuclear(M, theta)
         assert np.array_equal(J, J2) and nuclear == nuclear2
 
 

@@ -96,16 +96,16 @@ class TestSolveLrr:
 
     def test_non_finite_iterate_raises_at_once(self, monkeypatch):
         calls = []
-        real = solver.column_shrink
+        real = solver._column_shrink
 
         def poisoned(G, alpha):
             calls.append(alpha)
-            out = real(G, alpha)
+            out, norms = real(G, alpha)
             if len(calls) == 5:
                 out[0, 0] = np.nan
-            return out
+            return out, norms
 
-        monkeypatch.setattr(solver, "column_shrink", poisoned)
+        monkeypatch.setattr(solver, "_column_shrink", poisoned)
         with pytest.raises(NumericalError, match="iteration 5"):
             solver.solve_lrr(rand((6, 8), 4), rand((6, 8), 5), "l21",
                              solver.SolverOptions(lam=0.5))
