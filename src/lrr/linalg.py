@@ -329,8 +329,11 @@ def svt_with_nuclear(M, theta, basis=None):
         raise NumericalError(f"non-finite entries in a {M.shape[0]}x{M.shape[1]} SVT input")
     wide = M.shape[0] < M.shape[1]
     n = min(M.shape)
-    if basis is not None and basis.shape[0] != n:
-        raise ValueError(f"basis has {basis.shape[0]} rows, expected {n}")
+    if basis is not None:
+        if basis.shape[0] != n:
+            raise ValueError(f"basis has {basis.shape[0]} rows, expected {n}")
+        if not np.isfinite(basis).all():
+            raise ValueError("basis contains non-finite entries")
     zero = np.zeros(M.shape), 0.0, np.zeros((n, 0))
     if peak == 0.0:
         return zero

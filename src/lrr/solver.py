@@ -149,6 +149,15 @@ def solve_lrr(X, A, model="l21", opts=None):
     ``1 / (1 + s^2)`` with no factorization, and any other dictionary
     applies ``(I + A^T A)^{-1}``, formed once from a Cholesky factor, with
     one matrix product per sweep. Both give the same iterates to roundoff.
+
+    The sweep carries one piece of state besides the iterates: the right
+    singular basis that the last threshold kept, handed to the next
+    :func:`~lrr.linalg.svt_with_nuclear` call. There it seeds a
+    subspace-iteration candidate that a Cholesky certificate and a residual
+    check must prove exact, so the iterates are those of a full SVD to
+    roundoff and the basis only saves the Gram ``eigh`` of sweeps whose
+    kept rank is small next to the matrix (``4 (k + 8) <= n``). An empty
+    basis (after a zero threshold) makes the candidate zero.
     """
     X = as_matrix(X, "X")
     A = as_matrix(A, "A")

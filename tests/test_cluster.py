@@ -1,3 +1,5 @@
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -43,6 +45,20 @@ class TestBuildAffinity:
         assert np.array_equal(W, W.T)  # exactly symmetric
         assert (W >= 0).all() and (W <= 1 + 1e-12).all()
         np.testing.assert_allclose(np.diag(W), np.ones(8), atol=1e-10)
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(1, 15), st.integers(1, 15), st.integers(0, 15),
+                      st.integers(-100, 100), st.integers(0, 2**32 - 1))
+    def test_symmetric_unit_range_over_generated_z(self, rows, cols, rank, exponent, seed):
+        # Z of any shape and rank (0 gives the zero matrix), scaled by
+        # 10^-100..10^100
+        rng = np.random.default_rng(seed)
+        rank = min(rank, rows, cols)
+        Z = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+        W = cluster.build_affinity(Z * 10.0 ** exponent).W
+        assert W.shape == (rows, rows)
+        assert np.array_equal(W, W.T)
+        assert (W >= 0).all() and (W <= 1 + 1e-12).all()
 
     def test_zero_input_degenerate(self):
         aff = cluster.build_affinity(np.zeros((5, 5)))

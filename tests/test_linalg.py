@@ -53,6 +53,74 @@ def svt_cases(draw):
     return M, theta
 
 
+BASIS_KINDS = ("none", "true", "stale", "random", "rank_deficient", "wrong", "oversized")
+
+
+@st.composite
+def svt_basis_cases(draw):
+    """``(M, theta, basis)``: tall or wide ``M`` whose smaller side ``n`` is
+    40..96, so that the warm path's gate ``4 (k + 8) <= n`` can open, with
+    1..8 leading singular values in [1, 2] over a tail of rank ``n`` or
+    less, scaled by 10^-300..10^300, ``theta`` in the gap, anywhere below
+    sigma_max or above it, and a basis of ``n`` rows of one of
+    ``BASIS_KINDS``: the kept right singular vectors, a perturbed set of
+    more or fewer of them, random, with a repeated and a zero column,
+    spanning only tail directions, or too wide for the gate."""
+    n = draw(st.integers(40, 96))
+    m = draw(st.integers(n, 140))
+    wide = draw(st.booleans())
+    lead = draw(st.integers(1, 8))
+    tail = draw(st.sampled_from([0.0, 1e-3, 0.1, 0.6]))
+    place = draw(st.sampled_from(["gap", "inside", "above"]))
+    kind = draw(st.sampled_from(BASIS_KINDS))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = np.concatenate([rng.uniform(1.0, 2.0, lead), tail * rng.uniform(0.0, 1.0, n - lead)])
+    s = np.sort(s)[::-1]
+    U = np.linalg.qr(rng.standard_normal((m, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    if place == "gap":
+        t = rng.uniform(max(tail, 0.5), 1.0)
+    elif place == "inside":
+        t = rng.uniform(0.0, s[0])
+    else:
+        t = s[0] * rng.uniform(1.0, 1.5)
+    k = int(np.count_nonzero(s > t))
+    if kind == "none":
+        basis = None
+    elif kind == "true":
+        basis = V[:, :k]
+    elif kind == "stale":
+        j = int(np.clip(k + rng.integers(-2, 3), 0, n))
+        basis = np.linalg.qr(V[:, :j] + 1e-2 * rng.standard_normal((n, j)))[0]
+    elif kind == "random":
+        basis = np.linalg.qr(rng.standard_normal((n, rng.integers(1, 11))))[0]
+    elif kind == "rank_deficient":
+        B = V[:, : max(k, 1)]
+        basis = np.hstack([B, B[:, :1], np.zeros((n, 1))])
+    elif kind == "wrong":
+        basis = V[:, n - max(min(k, n - k), 1):]
+    else:
+        basis = V[:, : n // 4 - 7]
+    N = (U * s) @ V.T * scale
+    return (N.T if wide else N), t * scale, basis
+
+
+@st.composite
+def shrink_cases(draw):
+    """``(Q, alpha)``: Q of 1..12 x 1..12 Gaussian entries scaled by
+    10^-100..10^100, about a fifth of its columns zero, and ``alpha`` from 0
+    to past the largest column norm."""
+    d = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 12))
+    scale = 10.0 ** draw(st.integers(-100, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Q = rng.standard_normal((d, n)) * scale
+    Q[:, rng.random(n) < 0.2] = 0.0
+    alpha = draw(st.floats(0.0, 1.5)) * np.sqrt(d) * scale
+    return Q, alpha
+
+
 class TestSkinnySvd:
     def test_identity(self):
         f = linalg.skinny_svd(np.eye(3), rank_tol=0.0)
@@ -339,6 +407,93 @@ class TestSvt:
         J2, nuclear2, _ = linalg.svt_with_nuclear(M, theta)
         assert np.array_equal(J, J2) and nuclear == nuclear2
 
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(svt_basis_cases())
+    def test_any_basis_matches_full_svd_threshold(self, case):
+        # a basis only picks the path: a bad one may cost time, never accuracy
+        M, theta, basis = case
+        smax = np.linalg.norm(M, 2)
+        J, nuclear, V = linalg.svt_with_nuclear(M, theta, basis)
+        J_ref, nuclear_ref = oracles.svt_by_full_svd(M, theta)
+        assert J.shape == M.shape and V.shape[0] == min(M.shape)
+        assert np.abs(J - J_ref).max() <= 1e-12 * smax
+        assert abs(nuclear - nuclear_ref) <= 1e-12 * smax
+        J2, nuclear2, V2 = linalg.svt_with_nuclear(M, theta, basis)
+        assert np.array_equal(J, J2) and nuclear == nuclear2 and np.array_equal(V, V2)
+
+    @pytest.mark.parametrize("shape", [(90, 60), (60, 90)])
+    @pytest.mark.parametrize("cholesky_fails", [False, True])
+    def test_warm_basis_certified_without_eigh_or_falls_back(self, shape, cholesky_fails,
+                                                            monkeypatch):
+        # rank 4 over a 1e-3 tail, theta in the gap: from the kept basis the
+        # certificate answers with no 60x60 eigh, unless Cholesky fails
+        rng = np.random.default_rng(73)
+        U = np.linalg.qr(rng.standard_normal((90, 60)))[0]
+        V = np.linalg.qr(rng.standard_normal((60, 60)))[0]
+        s = np.concatenate([[4.0, 3.0, 2.0, 1.5], 1e-3 * rng.uniform(0.0, 1.0, 56)])
+        N = (U * s) @ V.T
+        M = N if shape == (90, 60) else N.T
+        shapes = []
+        real_eigh = np.linalg.eigh
+
+        def recorded_eigh(G):
+            shapes.append(G.shape)
+            return real_eigh(G)
+
+        def no_cholesky(A):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
+        if cholesky_fails:
+            monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+        J, nuclear, kept = linalg.svt_with_nuclear(M, 1.0, V[:, :4])
+        assert ((60, 60) in shapes) == cholesky_fails
+        assert kept.shape == (60, 4)
+        J_ref, nuclear_ref = oracles.svt_by_full_svd(M, 1.0)
+        assert np.abs(J - J_ref).max() <= 1e-12 * 4.0
+        assert nuclear == pytest.approx(nuclear_ref, abs=1e-12 * 4.0)
+
+    def test_unconverged_warm_block_falls_back(self, monkeypatch):
+        # sigma_1 = 1 over a tail in [0.99, 0.999] with theta = 0.9995: from a
+        # stale basis the 30 steps gain almost nothing, so the block passes
+        # the tail certificate but fails the residual check, and eigh answers
+        rng = np.random.default_rng(83)
+        U = np.linalg.qr(rng.standard_normal((80, 60)))[0]
+        V = np.linalg.qr(rng.standard_normal((60, 60)))[0]
+        s = np.concatenate([[1.0], np.sort(rng.uniform(0.99, 0.999, 59))[::-1]])
+        M = (U * s) @ V.T
+        stale = V[:, :1] + 1e-3 * rng.standard_normal((60, 1))
+        shapes = []
+        real_eigh = np.linalg.eigh
+
+        def recorded_eigh(G):
+            shapes.append(G.shape)
+            return real_eigh(G)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
+        J, nuclear, _ = linalg.svt_with_nuclear(M, 0.9995, stale / np.linalg.norm(stale))
+        assert (60, 60) in shapes
+        J_ref, nuclear_ref = oracles.svt_by_full_svd(M, 0.9995)
+        assert np.abs(J - J_ref).max() <= 1e-12
+        assert nuclear == pytest.approx(nuclear_ref, abs=1e-12)
+
+    def test_cholesky_certifies_zero_without_eigh(self, monkeypatch):
+        # sigma_max = 1 < theta = 1.5 < ||I_40||_F: with no basis the
+        # candidate is zero, and the Cholesky certificate proves it
+        def no_eigh(G):
+            raise AssertionError("eigh ran though the zero candidate is certified")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        J, nuclear, V = linalg.svt_with_nuclear(np.eye(40), 1.5)
+        assert J.shape == (40, 40) and not J.any()
+        assert nuclear == 0.0 and V.shape == (40, 0)
+
+    def test_malformed_basis_rejected(self):
+        with pytest.raises(ValueError, match="basis has 5 rows"):
+            linalg.svt_with_nuclear(rand((8, 6), 79), 0.5, np.eye(5))
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.svt_with_nuclear(rand((8, 6), 79), 0.5, np.full((6, 1), np.nan))
+
 
 class TestColumnShrink:
     def test_single_column_closed_form(self):
@@ -357,6 +512,24 @@ class TestColumnShrink:
         assert oracles.beats_random_perturbations(
             lambda M: oracles.l21_objective(M, Q, alpha), W, 200, 0.05, seed=5
         )
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(shrink_cases())
+    def test_prox_optimality(self, case):
+        # Q - W lies in alpha * subdifferential of ||W||_{2,1}: alpha w/||w||
+        # on a nonzero column, a vector of norm <= alpha on a zero one
+        Q, alpha = case
+        W = linalg.column_shrink(Q, alpha)
+        tol = 1e-12 * (np.abs(Q).max() + alpha)
+        for q, w in zip(Q.T, W.T):
+            wn = np.linalg.norm(w)
+            if wn > 0:
+                np.testing.assert_allclose(q - w, alpha * w / wn, rtol=0, atol=tol)
+            else:
+                assert np.linalg.norm(q) <= alpha + tol
+        W2, norms = linalg._column_shrink(Q, alpha)
+        assert np.array_equal(W, W2)
+        np.testing.assert_allclose(norms, np.linalg.norm(W, axis=0), rtol=1e-12, atol=0)
 
     def test_columns_scaled_never_rotated(self):
         Q = rand((4, 6), 29)
@@ -385,6 +558,20 @@ class TestEntryShrink:
         out = linalg.entry_shrink(Q, alpha)
         for q, w in zip(Q.ravel(), out.ravel()):
             assert w == pytest.approx(oracles.scalar_shrink_oracle(q, alpha), abs=1e-8)
+
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(shrink_cases())
+    def test_prox_optimality(self, case):
+        # Q - W lies in alpha * subdifferential of ||W||_1: alpha sign(w)
+        # where w != 0, a value in [-alpha, alpha] where w = 0
+        Q, alpha = case
+        W = linalg.entry_shrink(Q, alpha)
+        tol = 1e-12 * (np.abs(Q).max() + alpha)
+        nz = W != 0
+        assert (np.sign(W[nz]) == np.sign(Q[nz])).all()
+        np.testing.assert_allclose((Q - W)[nz], alpha * np.sign(W[nz]), rtol=0, atol=tol)
+        assert (np.abs(Q[~nz]) <= alpha + tol).all()
 
 
 class TestRowSpaceProjector:

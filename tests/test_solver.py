@@ -1,7 +1,9 @@
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from lrr import linalg, solver, synth
+from lrr import linalg, recipes, solver, synth
 from lrr.errors import DegenerateInputError, FeasibilityError, NumericalError
 
 
@@ -294,6 +296,52 @@ class TestSolveLrrSelf:
         ref = solver.solve_lrr_reduced(ds.X, ds.X, "frobenius_sq", opts)
         assert sol.converged and ref.converged
         assert sol.objective == pytest.approx(ref.objective, rel=1e-6)
+
+
+    @hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(2, 10), st.integers(2, 12), st.sampled_from(solver.ERROR_MODELS),
+                      st.floats(0.05, 2.0), st.integers(0, 2**32 - 1))
+    def test_repeat_call_bit_identical(self, d, n, model, lam, seed):
+        X = np.random.default_rng(seed).standard_normal((d, n))
+        opts = solver.SolverOptions(lam=lam)
+        s1 = solver.solve_lrr_self(X, model, opts)
+        s2 = solver.solve_lrr_self(X, model, opts)
+        assert np.array_equal(s1.Z, s2.Z) and np.array_equal(s1.E, s2.E)
+        assert s1.iterations == s2.iterations and s1.objective == s2.objective
+
+    def test_warm_svt_spares_most_gram_eigh(self, monkeypatch):
+        # 5 disjoint rank-4 subspaces of R^400, 200 samples (10% grossly
+        # corrupted, the rest noised) and 100 outliers: X is 400x300 of full
+        # rank, and every sweep thresholds a 300x300 matrix that keeps 20 or
+        # fewer singular values. Carrying the kept basis from sweep to sweep
+        # certifies most of them without a 300x300 eigh; a candidate that
+        # silently stopped certifying would need one on every nonzero sweep.
+        ens = synth.gen_ensemble(5, 4, 400, mode="disjoint", seed=1)
+        ds = synth.sample(ens, 40, seed=2)
+        ds = synth.corrupt_samples(ds, 0.10, recipes.FIG6_CORRUPT_SCALE, seed=3)
+        ds = synth.add_noise(ds, recipes.FIG6_NOISE_LEVEL, seed=4)
+        ds = synth.add_outliers(ds, 100, recipes.FIG6_OUTLIER_SCALE, seed=5)
+        X = synth.normalize_columns(ds).X
+        real_eigh = np.linalg.eigh
+        real_svt = solver.svt_with_nuclear
+        eighs = []
+        nonzero = []
+
+        def counted_eigh(G):
+            eighs.append(G.shape == (300, 300))
+            return real_eigh(G)
+
+        def counted_svt(M, theta, basis):
+            out = real_svt(M, theta, basis)
+            nonzero.append(out[1] > 0.0)
+            return out
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(solver, "svt_with_nuclear", counted_svt)
+        sol = solver.solve_lrr_self(X, "l21", solver.SolverOptions(lam=0.3))
+        assert sol.converged and len(nonzero) == sol.iterations
+        assert sum(nonzero) >= 40
+        assert sum(eighs) <= sum(nonzero) // 4
 
 
 class TestReduceDictionary:
