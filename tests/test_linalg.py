@@ -399,13 +399,19 @@ class TestSvt:
     def test_matches_full_svd_threshold(self, case):
         M, theta = case
         smax = np.linalg.norm(M, 2)
-        J, nuclear, _ = linalg.svt_with_nuclear(M, theta)
+        J, nuclear, V = linalg.svt_with_nuclear(M, theta)
         J_ref, nuclear_ref = oracles.svt_by_full_svd(M, theta)
         assert J.shape == M.shape
         assert np.abs(J - J_ref).max() <= 1e-12 * smax
         assert abs(nuclear - nuclear_ref) <= 1e-12 * smax
         J2, nuclear2, _ = linalg.svt_with_nuclear(M, theta)
         assert np.array_equal(J, J2) and nuclear == nuclear2
+        # handing back the kept basis, as the solver does, changes nothing
+        J3, nuclear3, V3 = linalg.svt_with_nuclear(M, theta, V)
+        assert np.abs(J3 - J_ref).max() <= 1e-12 * smax
+        assert abs(nuclear3 - nuclear_ref) <= 1e-12 * smax
+        J4, nuclear4, V4 = linalg.svt_with_nuclear(M, theta, V)
+        assert np.array_equal(J3, J4) and nuclear3 == nuclear4 and np.array_equal(V3, V4)
 
     @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @hypothesis.given(svt_basis_cases())
