@@ -153,8 +153,9 @@ def norm(M, kind):
 # singular value crossing theta between sweeps is caught.
 _WARM_EXTRA = 8
 # Cap on the warm start's subspace-iteration steps. It stops as soon as its
-# Ritz pairs above theta meet the residual check; over a solve the steps
-# needed fall from about 10-20 in the first sweeps with a basis to 2.
+# Ritz pairs above theta are well inside the residual check's bound; over a
+# solve the steps needed fall from about 10-20 in the first sweeps with a
+# basis to 2.
 _WARM_STEPS = 30
 # The candidate path runs only when GATE * (k + _WARM_EXTRA) <= n for a
 # previous basis of k columns and an n x n Gram matrix. A step multiplies

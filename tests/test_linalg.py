@@ -60,8 +60,9 @@ BASIS_KINDS = ("none", "true", "stale", "random", "rank_deficient", "wrong", "ov
 def svt_basis_cases(draw):
     """``(M, theta, basis)``: tall or wide ``M`` whose smaller side ``n`` is
     40..96, so that the warm path's gate ``4 (k + 8) <= n`` can open, with
-    1..8 leading singular values in [1, 2] over a tail of rank ``n`` or
-    less, scaled by 10^-300..10^300, ``theta`` in the gap, anywhere below
+    1..8 leading singular values in [1, 2] over a tail that is zero or
+    spread below 1e-3, 0.1 or 0.6, all scaled by 10^-300..10^300,
+    ``theta`` in the gap, anywhere below
     sigma_max or above it, and a basis of ``n`` rows of one of
     ``BASIS_KINDS``: the kept right singular vectors, a perturbed set of
     more or fewer of them, random, with a repeated and a zero column,
@@ -461,8 +462,9 @@ class TestSvt:
 
     def test_unconverged_warm_block_falls_back(self, monkeypatch):
         # sigma_1 = 1 over a tail in [0.99, 0.999] with theta = 0.9995: from a
-        # stale basis the 30 steps gain almost nothing, so the block passes
-        # the tail certificate but fails the residual check, and eigh answers
+        # stale basis the 30 steps gain almost nothing, so the block fails the
+        # residual check (the tail certificate alone would accept it), and
+        # eigh answers
         rng = np.random.default_rng(83)
         U = np.linalg.qr(rng.standard_normal((80, 60)))[0]
         V = np.linalg.qr(rng.standard_normal((60, 60)))[0]
