@@ -297,7 +297,6 @@ class TestSolveLrrSelf:
         assert sol.converged and ref.converged
         assert sol.objective == pytest.approx(ref.objective, rel=1e-6)
 
-
     @hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @hypothesis.given(st.integers(2, 10), st.integers(2, 12), st.sampled_from(solver.ERROR_MODELS),
                       st.floats(0.05, 2.0), st.integers(0, 2**32 - 1))
@@ -312,8 +311,8 @@ class TestSolveLrrSelf:
     def test_warm_svt_spares_most_gram_eigh(self, monkeypatch):
         # 5 disjoint rank-4 subspaces of R^400, 200 samples (10% grossly
         # corrupted, the rest noised) and 100 outliers: X is 400x300 of full
-        # rank, and every sweep thresholds a 300x300 matrix that keeps 20 or
-        # fewer singular values. Carrying the kept basis from sweep to sweep
+        # rank, and every sweep thresholds a 300x300 matrix that keeps about 20
+        # singular values or none. Carrying the kept basis from sweep to sweep
         # certifies most of them without a 300x300 eigh; a candidate that
         # silently stopped certifying would need one on every nonzero sweep.
         ens = synth.gen_ensemble(5, 4, 400, mode="disjoint", seed=1)
