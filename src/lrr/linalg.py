@@ -398,8 +398,15 @@ def entry_shrink(Q, alpha):
     proximal operator of the l1 norm."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    Q = as_matrix(Q)
-    return np.sign(Q) * np.maximum(np.abs(Q) - alpha, 0.0)
+    return _entry_shrink(as_matrix(Q), alpha)[0]
+
+
+def _entry_shrink(Q, alpha):
+    """:func:`entry_shrink` of a finite 2-D float array, without the checks,
+    plus the magnitudes ``max(|q| - alpha, 0)`` of the result, whose sum is
+    its l1 norm exactly. For the solver's sweep, like :func:`_column_shrink`."""
+    kept = np.maximum(np.abs(Q) - alpha, 0.0)
+    return np.sign(Q) * kept, kept
 
 
 def row_space_projector(A):

@@ -17,11 +17,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .errors import DegenerateInputError, FeasibilityError, NumericalError
 from .linalg import as_matrix, norm, pseudoinverse, skinny_svd, svt_with_nuclear
-from .linalg import _column_shrink, entry_shrink
+from .linalg import _column_shrink, _entry_shrink
 
 ERROR_MODELS = ("l21", "l1", "frobenius_sq")
 
@@ -109,13 +109,17 @@ class ReducedDictionary:
 
 def _z_step(A):
     """Operators ``(M -> A M, M -> A^T M, R -> (I + A^T A)^{-1} R)`` for the
-    Z-step, set up once per solve.
+    Z-step, set up once per solve. Each is called as ``op(M, out)`` and
+    writes its result into ``out``, an array of the result's shape that
+    must not be ``M`` or share memory with it (or with ``A``).
 
     A square diagonal ``A = diag(s)`` (the self-expressive path) needs no
-    factorization: all three are row scalings. Any other dictionary has
-    ``I + A^T A`` factored by Cholesky and inverted once, so that each sweep
-    costs one matrix product and stays on NumPy's BLAS. ``A^T A`` overflows
-    for entries near 1e154 and beyond.
+    factorization: all three are row scalings, ``np.multiply`` and
+    ``np.divide`` with ``out=``. Any other dictionary has ``I + A^T A``
+    factored by Cholesky and inverted once, so that each sweep costs
+    ``np.matmul(..., out=)`` products with ``A``, ``A^T`` and the inverse and
+    stays on NumPy's BLAS. ``A^T A`` overflows for entries near 1e154 and
+    beyond. ``scipy.linalg`` is first loaded here, for a general dictionary.
     """
     n_a = A.shape[1]
     s = np.diag(A)[:, None]
@@ -125,13 +129,18 @@ def _z_step(A):
     if not np.isfinite(gram).all():
         raise NumericalError(f"I + A^T A overflows ({n_a}x{n_a}); rescale the data")
     if diagonal:
-        return (lambda M: s * M), (lambda M: s * M), (lambda R: R / gram)
+        def scale(M, out):
+            return np.multiply(s, M, out=out)
+
+        return scale, scale, (lambda R, out: np.divide(R, gram, out=out))
     try:
         chol = scipy.linalg.cho_factor(gram)
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(f"factorization of I + A^T A failed ({n_a}x{n_a})") from exc
     inverse = scipy.linalg.cho_solve(chol, np.eye(n_a))
-    return (lambda M: A @ M), (lambda M: A.T @ M), (lambda R: inverse @ R)
+    return ((lambda M, out: np.matmul(A, M, out=out)),
+            (lambda M, out: np.matmul(A.T, M, out=out)),
+            (lambda R, out: np.matmul(inverse, R, out=out)))
 
 
 def solve_lrr(X, A, model="l21", opts=None):
@@ -158,6 +167,17 @@ def solve_lrr(X, A, model="l21", opts=None):
     roundoff and the basis only saves the Gram ``eigh`` of sweeps whose
     kept rank is small next to the matrix (``4 (k + 8) <= n``). An empty
     basis (after a zero threshold) makes the candidate zero.
+
+    Apart from the arrays that the SVT and the l21 or l1 shrink return, a
+    sweep allocates nothing of an iterate's size: it works in four arrays
+    allocated once per solve, two of ``Z``'s shape and two of ``X``'s,
+    through ``out=`` arguments, in-place operators and the ``op(M, out)``
+    operators of :func:`_z_step`. ``X - A Z`` is formed once and serves both
+    the E-step input and the feasibility residual. Each sum is taken in the
+    order of the plain expression in the comment above it, so the iterates
+    are bit-identical to evaluating those expressions one fresh array at a
+    time. ``X`` and ``A`` are never written, and the returned ``Z`` and
+    ``E`` share no memory with them or with each other.
     """
     X = as_matrix(X, "X")
     A = as_matrix(A, "A")
@@ -176,11 +196,16 @@ def solve_lrr(X, A, model="l21", opts=None):
     lam = opts.lam
     mu = opts.mu_init
     Z = np.zeros((n_a, n))
-    J = np.zeros((n_a, n))
     E = np.zeros((d, n))
     Y1 = np.zeros((d, n))
     Y2 = np.zeros((n_a, n))
     basis = None
+    # Work arrays, reused by every sweep. M holds the SVT input, then
+    # (A^T Y1 - Y2) / mu, then R2; D holds X - E, then X - A Z, then R1.
+    M = np.empty((n_a, n))
+    rhs = np.empty((n_a, n))
+    D = np.empty((d, n))
+    G = np.empty((d, n))
 
     obj_trace = []
     mu_trace = []
@@ -191,33 +216,50 @@ def solve_lrr(X, A, model="l21", opts=None):
         iterations += 1
         mu_trace.append(mu)
 
-        J, j_nuclear, basis = svt_with_nuclear(Z + Y2 / mu, 1.0 / mu, basis)
+        # M = Z + Y2 / mu
+        np.divide(Y2, mu, out=M)
+        M += Z
+        J, j_nuclear, basis = svt_with_nuclear(M, 1.0 / mu, basis)
 
-        Z = z_solve(apply_at(X - E) + J + (apply_at(Y1) - Y2) / mu)
+        # rhs = A^T (X - E) + J + (A^T Y1 - Y2) / mu
+        np.subtract(X, E, out=D)
+        apply_at(D, rhs)
+        rhs += J
+        apply_at(Y1, M)
+        M -= Y2
+        M /= mu
+        rhs += M
+        z_solve(rhs, Z)
 
-        AZ = apply_a(Z)
-        G = X - AZ + Y1 / mu
-        if model == "l21":
-            E, e_norms = _column_shrink(G, lam / mu)
-            err = float(e_norms.sum())
-        elif model == "l1":
-            E = entry_shrink(G, lam / mu)
-            err = error_norm(E, model)
-        else:
+        # D = X - A Z, then G = D + Y1 / mu
+        apply_a(Z, D)
+        np.subtract(X, D, out=D)
+        np.divide(Y1, mu, out=G)
+        G += D
+        if model == "frobenius_sq":
             # argmin_E lam*||E||_F^2 + (mu/2)*||E - G||_F^2 = mu*G/(2*lam + mu)
-            E = (mu / (2.0 * lam + mu)) * G
-            err = error_norm(E, model)
+            np.multiply(mu / (2.0 * lam + mu), G, out=E)
+            err = float(np.linalg.norm(E)) ** 2
+        else:
+            shrink = _column_shrink if model == "l21" else _entry_shrink
+            E, kept = shrink(G, lam / mu)
+            err = float(kept.sum())
 
-        R1 = X - AZ - E
-        R2 = Z - J
-        r1 = float(np.abs(R1).max())
-        r2 = float(np.abs(R2).max())
+        # R1 = D - E and R2 = Z - J; max(R.max(), -R.min()) is the
+        # infinity norm without an abs temporary
+        D -= E
+        np.subtract(Z, J, out=M)
+        r1 = float(max(D.max(), -D.min()))
+        r2 = float(max(M.max(), -M.min()))
         if not (math.isfinite(r1) and math.isfinite(r2)):
             # A NaN never passes the stopping test below, so the iterates
             # can only stay broken: stop here with the failure named.
             raise NumericalError(f"non-finite residual at iteration {iterations}")
-        Y1 = Y1 + mu * R1
-        Y2 = Y2 + mu * R2
+        # Y1 += mu R1, Y2 += mu R2
+        D *= mu
+        Y1 += D
+        M *= mu
+        Y2 += M
         mu = min(opts.rho * mu, opts.mu_max)
 
         obj_trace.append(j_nuclear + lam * err)

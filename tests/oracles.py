@@ -7,6 +7,7 @@ same bug in its test.
 """
 
 import itertools
+import types
 
 import numpy as np
 import scipy.linalg
@@ -212,3 +213,79 @@ def oracle_instance(seed, d=8, n=10):
     equivalence suite."""
     rng = np.random.default_rng(np.random.SeedSequence([916, seed]))
     return rng.standard_normal((d, n)), rng.standard_normal((d, n))
+
+
+def adm_reference(X, A, model, opts):
+    """The ADM sweep of ``solver.solve_lrr`` as plain allocating
+    expressions, one fresh array per operation, as it was written before
+    the sweep moved into a fixed workspace.
+
+    The in-place sweep must reproduce it bit for bit: same ``Z``, ``E``,
+    traces, residuals and iteration count. The Z-step operators and the
+    two shrinks are written out here; only the SVT, which this reference
+    does not test, is the package's own.
+    """
+    from lrr.linalg import svt_with_nuclear
+
+    X = np.asarray(X, dtype=np.float64)
+    A = np.asarray(A, dtype=np.float64)
+    d, n = X.shape
+    n_a = A.shape[1]
+    s = np.diag(A)[:, None]
+    if A.shape[0] == n_a and np.array_equal(A, np.diagflat(s)):
+        gram = 1.0 + s * s
+        apply_a, apply_at, z_solve = ((lambda M: s * M), (lambda M: s * M),
+                                      (lambda R: R / gram))
+    else:
+        inverse = scipy.linalg.cho_solve(scipy.linalg.cho_factor(np.eye(n_a) + A.T @ A),
+                                         np.eye(n_a))
+        apply_a, apply_at, z_solve = ((lambda M: A @ M), (lambda M: A.T @ M),
+                                      (lambda R: inverse @ R))
+
+    lam = opts.lam
+    mu = opts.mu_init
+    Z = np.zeros((n_a, n))
+    E = np.zeros((d, n))
+    Y1 = np.zeros((d, n))
+    Y2 = np.zeros((n_a, n))
+    basis = None
+    obj_trace = []
+    mu_trace = []
+    converged = False
+    iterations = 0
+    for _ in range(opts.max_iters):
+        iterations += 1
+        mu_trace.append(mu)
+        J, j_nuclear, basis = svt_with_nuclear(Z + Y2 / mu, 1.0 / mu, basis)
+        Z = z_solve(apply_at(X - E) + J + (apply_at(Y1) - Y2) / mu)
+        AZ = apply_a(Z)
+        G = X - AZ + Y1 / mu
+        if model == "l21":
+            norms = np.linalg.norm(G, axis=0)
+            kept = np.maximum(norms - lam / mu, 0.0)
+            scale = np.zeros_like(norms)
+            over = kept > 0.0
+            scale[over] = kept[over] / norms[over]
+            E = G * scale
+            err = float(kept.sum())
+        elif model == "l1":
+            E = np.sign(G) * np.maximum(np.abs(G) - lam / mu, 0.0)
+            err = float(np.abs(E).sum())
+        else:
+            E = (mu / (2.0 * lam + mu)) * G
+            err = float(np.linalg.norm(E)) ** 2
+        R1 = X - AZ - E
+        R2 = Z - J
+        r1 = float(np.abs(R1).max())
+        r2 = float(np.abs(R2).max())
+        Y1 = Y1 + mu * R1
+        Y2 = Y2 + mu * R2
+        mu = min(opts.rho * mu, opts.mu_max)
+        obj_trace.append(j_nuclear + lam * err)
+        if r1 < opts.eps and r2 < opts.eps:
+            converged = True
+            break
+    return types.SimpleNamespace(
+        Z=Z, E=E, iterations=iterations, converged=converged,
+        final_residuals=(r1, r2), objective_trace=np.asarray(obj_trace),
+        mu_trace=np.asarray(mu_trace))

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import hypothesis
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 
+import oracles
 from lrr import linalg, recipes, solver, synth
 from lrr.errors import DegenerateInputError, FeasibilityError, NumericalError
 
@@ -177,6 +182,67 @@ class TestSolveLrr:
         E = (mu / (2 * opts.lam + mu)) * G
         np.testing.assert_allclose(sol.E, E, atol=1e-12)
 
+
+
+def _dictionary(kind, X):
+    """A dictionary for X of the given kind, for the in-place sweep tests."""
+    d = X.shape[0]
+    if kind == "diagonal":
+        return np.diag(np.linspace(3.0, 0.5, d))
+    if kind == "tall":
+        return rand((d, d - 3), 31)
+    # wide, and column-major, so the products read a non-C-contiguous A
+    return np.asfortranarray(rand((d, d + 8), 32))
+
+
+class TestInPlaceSweep:
+    @pytest.mark.parametrize("model", solver.ERROR_MODELS)
+    @pytest.mark.parametrize("kind", ["diagonal", "tall", "wide"])
+    @pytest.mark.parametrize("max_iters", [1000, 7])
+    def test_bit_identical_to_allocating_sweep(self, kind, model, max_iters):
+        X = rand((10, 14), 30)
+        A = _dictionary(kind, X)
+        opts = solver.SolverOptions(lam=0.5, max_iters=max_iters)
+        sol = solver.solve_lrr(X, A, model, opts)
+        ref = oracles.adm_reference(X, A, model, opts)
+        assert sol.iterations == ref.iterations
+        assert sol.converged == ref.converged == (max_iters == 1000)
+        for field in ("Z", "E", "objective_trace", "mu_trace"):
+            assert np.array_equal(getattr(sol, field), getattr(ref, field)), field
+        assert sol.final_residuals == ref.final_residuals
+
+    @pytest.mark.parametrize("model", solver.ERROR_MODELS)
+    @pytest.mark.parametrize("kind", ["diagonal", "wide"])
+    def test_inputs_unchanged_and_outputs_unaliased(self, kind, model):
+        X = rand((10, 14), 33)
+        A = _dictionary(kind, X)
+        X0, A0 = X.copy(), A.copy()
+        opts = solver.SolverOptions(lam=0.5)
+        for sol in (solver.solve_lrr(X, A, model, opts),
+                    solver.solve_lrr_self(X, model, opts)):
+            assert np.array_equal(X, X0) and np.array_equal(A, A0)
+            for a, b in [(sol.Z, X), (sol.Z, A), (sol.E, X), (sol.E, A), (sol.Z, sol.E)]:
+                assert not np.shares_memory(a, b)
+
+    def test_import_and_self_solve_leave_scipy_linalg_unloaded(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import lrr, lrr.cli\n"
+            "from lrr import solver\n"
+            "X = np.random.default_rng(0).standard_normal((8, 12))\n"
+            "opts = solver.SolverOptions(lam=0.5)\n"
+            "solver.solve_lrr_self(X, 'l21', opts)\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "A = np.random.default_rng(1).standard_normal((8, 10))\n"
+            "assert solver.solve_lrr(X, A, 'l21', opts).converged\n"
+            "assert 'scipy.linalg' in sys.modules\n"
+        )
+        src = os.path.dirname(os.path.dirname(solver.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 class TestSolveLrrClean:
     def test_self_dictionary_gives_row_space_projector(self):
