@@ -13,12 +13,15 @@ import numpy as np
 from .linalg import as_matrix
 
 
-def _atomic_write_text(path, text):
+def _atomic_write(path, chunks):
+    """Write the strings of ``chunks`` one at a time to a temp file beside
+    ``path``, then rename it over ``path``. On any failure the temp file is
+    removed and ``path`` is left as it was."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -27,13 +30,19 @@ def _atomic_write_text(path, text):
 
 
 def write_matrix_csv(path, M, header=False):
+    """Write ``M`` one row per line, each value as ``%.17g``. Rows are
+    formatted and written one at a time, so the text of the whole matrix is
+    never held in memory."""
     M = as_matrix(M)
-    lines = []
-    if header:
-        lines.append(",".join(f"c{j}" for j in range(M.shape[1])))
-    for row in M:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    row_format = ",".join(["%.17g"] * M.shape[1]) + "\n"
+
+    def lines():
+        if header:
+            yield ",".join(f"c{j}" for j in range(M.shape[1])) + "\n"
+        for row in M:
+            yield row_format % tuple(row.tolist())
+
+    _atomic_write(path, lines())
 
 
 def read_matrix_csv(path, header=False):
@@ -58,7 +67,7 @@ def write_json(path, record):
     """Write ``record`` as sorted, indented JSON; NumPy arrays and scalars
     are written as the lists and numbers of their ``tolist()``."""
     text = json.dumps(record, indent=2, sort_keys=True, default=lambda v: v.tolist())
-    _atomic_write_text(path, text + "\n")
+    _atomic_write(path, [text + "\n"])
 
 
 def read_json(path):

@@ -10,7 +10,9 @@ outliers), the entrywise l1 norm (scattered corruptions), or the squared
 Frobenius norm (dense noise). :func:`solve_lrr_clean` is the closed-form
 pseudoinverse solution for error-free data, and :func:`solve_lrr_self` is the
 self-expressive mode (dictionary = data), always solved in the coordinates of
-the skinny SVD of X, where the minimizer lives.
+the skinny SVD of X, where the minimizer lives. There the squared-Frobenius
+model needs no iteration: its minimizer is a closed form in that SVD.
+:func:`solve_lrr` keeps all three models for general dictionaries.
 """
 
 import math
@@ -338,22 +340,58 @@ def solve_lrr_reduced(X, A, model="l21", opts=None):
     return replace(inner, Z=Z, final_residuals=(feas, inner.final_residuals[1]))
 
 
+def _frobenius_self(X, f, opts):
+    """Exact minimizer of ``||Z||_* + lam ||E||_F^2  s.t.  X = X Z + E`` from
+    the skinny SVD ``f`` of X (Favaro, Vidal and Ravichandran, CVPR 2011).
+
+    With ``c = s sqrt(2 lam)``: ``Z = V diag(z) V^T`` with ``z = 1 - 1/c^2``
+    where ``c > 1`` and 0 elsewhere, and ``E = U diag(s min(1, 1/c^2)) V^T``,
+    which is ``X - X Z``. Then ``2 lam X^T E = V diag(min(c^2, 1)) V^T`` is
+    the identity on the range of Z and has spectral norm at most 1, so it
+    lies in the subdifferential of ``||Z||_*``: the KKT conditions hold.
+    """
+    if opts is None:
+        raise ValueError("opts is required (lam has no universal default)")
+    # w = 1 / max(c, 1) <= 1, so no square overflows; s w w is s / c^2 as
+    # (s / c) / c, which does not underflow before 1 / (2 lam s) does.
+    w = 1.0 / np.maximum(f.sigma * math.sqrt(2.0 * opts.lam), 1.0)
+    Z = (f.V * (1.0 - w * w)) @ f.V.T
+    E = (f.U * (f.sigma * w * w)) @ f.V.T
+    objective = norm(Z, "nuclear") + opts.lam * error_norm(E, "frobenius_sq")
+    if not math.isfinite(objective):
+        raise NumericalError(f"non-finite objective {objective} in the closed form")
+    return LrrSolution(
+        Z=Z,
+        E=E,
+        iterations=0,
+        converged=True,
+        final_residuals=(float(np.abs(X - X @ Z - E).max()), 0.0),
+        objective=float(objective),
+        objective_trace=np.empty(0),
+        mu_trace=np.empty(0),
+    )
+
+
 def solve_lrr_self(X, model="l21", opts=None):
     """Self-expressive solve with the data itself as dictionary (A = X).
 
     The minimizer lies in the row space of X, so with ``X = U S V^T`` the
-    problem is solved exactly for ``Z = V Z'`` by one :func:`solve_lrr`. For
-    ``l1``, which is not rotation-invariant, that solve runs on ``X`` with
-    dictionary ``U S``. For ``l21`` and ``frobenius_sq`` every iterate of E
-    also stays in span(U) and the penalty is invariant under U, so the
-    ambient rows drop out too: the solve runs on ``S V^T`` with dictionary
-    ``diag(S)`` and ``E = U E'``. The feasibility residual
-    ``final_residuals[0]`` is recomputed on X after the lift.
+    problem is solved exactly for ``Z = V Z'``. ``frobenius_sq`` has a closed
+    form in that SVD and runs no ADM: the result has ``iterations=0``,
+    ``converged=True``, empty traces and ``final_residuals[1] = 0``.
+    ``l21`` and ``l1`` run one :func:`solve_lrr`. For ``l1``, which is not
+    rotation-invariant, that solve runs on ``X`` with dictionary ``U S``. For
+    ``l21`` every iterate of E also stays in span(U) and the penalty is
+    invariant under U, so the ambient rows drop out too: the solve runs on
+    ``S V^T`` with dictionary ``diag(S)`` and ``E = U E'``. On every path the
+    feasibility residual ``final_residuals[0]`` is measured on X itself.
     """
     X = as_matrix(X, "X")
     if not X.any():
         raise DegenerateInputError("self-expressive solve needs a nonzero matrix")
     f = skinny_svd(X)
+    if model == "frobenius_sq":
+        return _frobenius_self(X, f, opts)
     if model == "l1":
         sol = solve_lrr(X, f.U * f.sigma, model, opts)
         E = sol.E

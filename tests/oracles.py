@@ -289,3 +289,46 @@ def adm_reference(X, A, model, opts):
         Z=Z, E=E, iterations=iterations, converged=converged,
         final_residuals=(r1, r2), objective_trace=np.asarray(obj_trace),
         mu_trace=np.asarray(mu_trace))
+
+
+def frobenius_kkt_violation(X, Z, lam, E=None, rank_tol=1e-8):
+    """Distance of ``Z`` from the KKT conditions of
+
+        min ||Z||_* + lam * ||E||_F^2   s.t.  X = X Z + E.
+
+    Stationarity in E makes the multiplier ``2 lam E``, so
+    ``W = 2 lam X^T E`` must be a subgradient of the nuclear norm at Z: with
+    ``Z = P S Q^T`` cut at singular values above ``rank_tol``, ``W Q = P``,
+    ``W^T P = Q`` and ``||W||_2 <= 1``. For a symmetric PSD Z this says that W
+    is the identity on the range of Z. Returns the largest violation of the
+    three, 0 at an exact minimizer.
+
+    ``E`` defaults to ``X - X Z``. Where ``X Z`` matches ``X`` to more digits
+    than a float holds (singular values far above ``1 / sqrt(2 lam)``), that
+    difference is roundoff, and the solver's own E must be passed instead,
+    with ``E = X - X Z`` checked separately.
+    """
+    X = np.asarray(X, dtype=float)
+    Z = np.asarray(Z, dtype=float)
+    E = X - X @ Z if E is None else np.asarray(E, dtype=float)
+    W = 2.0 * lam * (X.T @ E)
+    P, s, Qt = np.linalg.svd(Z)
+    k = int(np.count_nonzero(s > rank_tol))
+    P, Q = P[:, :k], Qt[:k].T
+    return max(np.linalg.norm(W, 2) - 1.0,
+               np.linalg.norm(W @ Q - P, 2) if k else 0.0,
+               np.linalg.norm(W.T @ P - Q, 2) if k else 0.0,
+               0.0)
+
+
+def csv_text_reference(M, header=False):
+    """The text of ``matio.write_matrix_csv`` as a per-value f-string
+    formatter builds it: one line per row, each value ``f"{v:.17g}"``, and
+    the whole text joined before it is written."""
+    M = np.asarray(M, dtype=np.float64)
+    lines = []
+    if header:
+        lines.append(",".join(f"c{j}" for j in range(M.shape[1])))
+    for row in M:
+        lines.append(",".join(f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"

@@ -1,8 +1,14 @@
 import dataclasses
+import os
+import tempfile
 
+import hypothesis
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
+import oracles
 from lrr import matio, solver, synth
 from lrr.cli import main
 
@@ -45,6 +51,54 @@ class TestMatio:
             p = tmp_path / "m.csv"
             matio.write_matrix_csv(p, M)
             assert matio.read_matrix_csv(p).shape == M.shape
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                   elements=st.floats(allow_nan=False, allow_infinity=False)
+                   | st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308])),
+        st.booleans())
+    @hypothesis.example(np.array([[5e-324, -0.0, 0.0, 1e300, -1e300, 1e308, -1e308]]), False)
+    @hypothesis.example(np.array([[-0.0], [2.2250738585072014e-308], [-1e-320]]), True)
+    def test_writer_bytes_match_reference(self, M, header):
+        with tempfile.TemporaryDirectory() as d:
+            p = os.path.join(d, "m.csv")
+            matio.write_matrix_csv(p, M, header=header)
+            with open(p, "rb") as fh:
+                assert fh.read() == oracles.csv_text_reference(M, header).encode()
+
+    def test_failed_write_keeps_target_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        p = tmp_path / "m.csv"
+        matio.write_matrix_csv(p, np.ones((2, 2)))
+        before = p.read_bytes()
+        real_fdopen = os.fdopen
+
+        class FailsOnThirdLine:
+            def __init__(self, fh):
+                self.fh, self.lines = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.lines += 1
+                if self.lines == 3:
+                    raise OSError("disk full")
+                return self.fh.write(text)
+
+            def writelines(self, lines):
+                for line in lines:
+                    self.write(line)
+
+        monkeypatch.setattr(matio.os, "fdopen",
+                            lambda *a, **k: FailsOnThirdLine(real_fdopen(*a, **k)))
+        with pytest.raises(OSError, match="disk full"):
+            matio.write_matrix_csv(p, np.arange(20.0).reshape(5, 4))
+        assert p.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["m.csv"]
 
     def test_parse_error(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -185,6 +239,19 @@ class TestSolveCommand:
         matio.write_matrix_csv(big_path, ds.X * 1e160)
         assert main(["solve", "--input", str(big_path), "--self", "--lambda", "0.3",
                      "--output", str(tmp_path / "o")]) == 3
+
+    def test_frobenius_self_on_huge_data_exit_0(self, tmp_path):
+        # the closed form needs no I + X^T X, which overflows at this scale
+        ds, _, _ = write_dataset(tmp_path)
+        big_path = tmp_path / "big.csv"
+        matio.write_matrix_csv(big_path, ds.X * 1e160)
+        out = tmp_path / "o"
+        assert main(["solve", "--input", str(big_path), "--self", "--lambda", "0.3",
+                     "--error-norm", "frobenius_sq", "--output", str(out)]) == 0
+        record = matio.read_json(out / "result.json")["solver"]
+        assert record["iterations"] == 0 and record["converged"] is True
+        assert record["objective_trace"] == []
+        assert np.isfinite(matio.read_matrix_csv(out / "Z.csv")).all()
 
 
 class TestSegmentCommand:

@@ -21,6 +21,21 @@ def independent_dataset(k=3, dim=2, ambient=24, per=6, seed=0):
     return synth.sample(ens, per, seed=seed + 1)
 
 
+@st.composite
+def self_inputs(draw, max_side=12):
+    """A Gaussian X that is tall (full column rank), wide (full row rank) or
+    rank-deficient (rank below both sides), with sides up to ``max_side``."""
+    kind = draw(st.sampled_from(["tall", "wide", "rank_deficient"]))
+    m = draw(st.integers(2, max_side - 2))
+    k = draw(st.integers(1, max_side - m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "tall":
+        return rng.standard_normal((m + k, m))
+    if kind == "wide":
+        return rng.standard_normal((m, m + k))
+    return rng.standard_normal((m + k, m - 1)) @ rng.standard_normal((m - 1, m + 1))
+
+
 class TestSolverOptions:
     def test_defaults(self):
         o = solver.SolverOptions(lam=0.5)
@@ -335,8 +350,9 @@ class TestSolveLrrSelf:
 
     @pytest.mark.parametrize("model", solver.ERROR_MODELS)
     def test_one_solve_path(self, model, monkeypatch):
-        # one solve_lrr in the SVD coordinates of X, no reduction, and the
-        # feasibility residual measured on X itself
+        # one solve_lrr in the SVD coordinates of X (none for frobenius_sq,
+        # which is a closed form there), no reduction, and the feasibility
+        # residual measured on X itself
         calls = {"solve_lrr": 0, "solve_lrr_reduced": 0, "reduce_dictionary": 0}
         for name in calls:
             real = getattr(solver, name)
@@ -348,12 +364,16 @@ class TestSolveLrrSelf:
             monkeypatch.setattr(solver, name, counted)
         X = rand((12, 4), 55) @ rand((4, 9), 56)
         sol = solver.solve_lrr_self(X, model, solver.SolverOptions(lam=0.7))
-        assert calls == {"solve_lrr": 1, "solve_lrr_reduced": 0, "reduce_dictionary": 0}
+        assert calls == {"solve_lrr": 0 if model == "frobenius_sq" else 1,
+                         "solve_lrr_reduced": 0, "reduce_dictionary": 0}
         assert sol.final_residuals[0] == np.abs(X - X @ sol.Z - sol.E).max()
 
     def test_wide_frobenius_converges(self):
         # 150 unit columns in R^100 from 5 rank-3 subspaces with 10% noise;
-        # the direct solve's 150x150 SVT failed to converge on this input
+        # the direct solve's 150x150 SVT failed to converge on this input.
+        # The ADM stops 7.8e-6 above the optimum here, so the closed form is
+        # held to the exact KKT conditions, and to the ADM's objective: the
+        # ADM's answer is feasible, so the optimum cannot lie above it.
         ens = synth.gen_ensemble(5, 3, 100, mode="independent", seed=0)
         ds = synth.normalize_columns(
             synth.add_noise(synth.sample(ens, 30, seed=1), 0.1, seed=2))
@@ -361,7 +381,8 @@ class TestSolveLrrSelf:
         sol = solver.solve_lrr_self(ds.X, "frobenius_sq", opts)
         ref = solver.solve_lrr_reduced(ds.X, ds.X, "frobenius_sq", opts)
         assert sol.converged and ref.converged
-        assert sol.objective == pytest.approx(ref.objective, rel=1e-6)
+        assert oracles.frobenius_kkt_violation(ds.X, sol.Z, opts.lam) <= 1e-9
+        assert sol.objective <= ref.objective
 
     @hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @hypothesis.given(st.integers(2, 10), st.integers(2, 12), st.sampled_from(solver.ERROR_MODELS),
@@ -373,6 +394,19 @@ class TestSolveLrrSelf:
         s2 = solver.solve_lrr_self(X, model, opts)
         assert np.array_equal(s1.Z, s2.Z) and np.array_equal(s1.E, s2.E)
         assert s1.iterations == s2.iterations and s1.objective == s2.objective
+
+    @pytest.mark.parametrize("model", ["l21", "l1"])
+    @hypothesis.settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(self_inputs(max_side=10), st.floats(0.2, 2.0))
+    def test_self_matches_direct_objective(self, model, X, lam):
+        # Z itself may differ by ~1e-6 between two converged solves whose
+        # objectives agree to 1e-9; the objective is what both minimize
+        opts = solver.SolverOptions(lam=lam)
+        fast = solver.solve_lrr_self(X, model, opts)
+        direct = solver.solve_lrr(X, X, model, opts)
+        assert fast.objective == pytest.approx(direct.objective, rel=1e-6)
+        for sol in (fast, direct):
+            assert np.abs(X - X @ sol.Z - sol.E).max() <= 1e-7
 
     def test_warm_svt_spares_most_gram_eigh(self, monkeypatch):
         # 5 disjoint rank-4 subspaces of R^400, 200 samples (10% grossly
@@ -407,6 +441,67 @@ class TestSolveLrrSelf:
         assert sol.converged and len(nonzero) == sol.iterations
         assert sum(nonzero) >= 40
         assert sum(eighs) <= sum(nonzero) // 4
+
+
+class TestFrobeniusClosedForm:
+    """``solve_lrr_self(X, "frobenius_sq")`` is the closed form in the SVD of
+    X, held to the exact KKT conditions of the problem it solves. The pytest
+    configuration raises every RuntimeWarning, so these tests also show that
+    no step over- or underflows with a warning."""
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(self_inputs(), st.integers(-150, 150), st.floats(-3.0, 3.0))
+    def test_kkt_over_generated_inputs(self, X, scale_exp, lam_exp):
+        X = X * 10.0 ** scale_exp
+        lam = 10.0 ** lam_exp
+        sol = solver.solve_lrr_self(X, "frobenius_sq", solver.SolverOptions(lam=lam))
+        assert sol.iterations == 0 and sol.converged
+        assert sol.objective_trace.size == 0 and sol.mu_trace.size == 0
+        assert oracles.frobenius_kkt_violation(X, sol.Z, lam, E=sol.E) <= 1e-8
+        residual = np.abs(X - X @ sol.Z - sol.E).max()
+        assert sol.final_residuals == (residual, 0.0)
+        assert residual <= 1e-13 * np.abs(X).max()
+        Z = sol.Z
+        assert np.abs(Z - Z.T).max() <= 1e-14
+        eigenvalues = np.linalg.eigvalsh((Z + Z.T) / 2)
+        assert eigenvalues.min() >= -1e-14 and eigenvalues.max() <= 1.0 + 1e-14
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(self_inputs(max_side=8), st.floats(-3.0, 3.0))
+    def test_objective_not_above_adm(self, X, lam_exp):
+        # For any (Z, E) with X - XZ - E = R, convexity and the multiplier
+        # Y = 2 lam E* give  obj(Z*, E*) <= obj(Z, E) + <Y, R>: the ADM's
+        # answer, feasible to its residual, bounds the optimum from above.
+        opts = solver.SolverOptions(lam=10.0 ** lam_exp)
+        sol = solver.solve_lrr_self(X, "frobenius_sq", opts)
+        adm = solver.solve_lrr(X, X, "frobenius_sq", opts)
+        slack = 2.0 * opts.lam * np.abs(sol.E).sum() * adm.final_residuals[0]
+        assert sol.objective <= adm.objective + slack + 1e-12 * adm.objective
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160])
+    def test_tiny_scale_is_all_error(self, scale):
+        # every c = s sqrt(2 lam) is below 1: the optimum is Z = 0, E = X,
+        # where the ADM stops after one sweep with E near 0
+        X = rand((15, 8), 57) * scale
+        sol = solver.solve_lrr_self(X, "frobenius_sq", solver.SolverOptions(lam=0.7))
+        assert not sol.Z.any()
+        assert np.abs(sol.E - X).max() <= 1e-14 * np.abs(X).max()
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_huge_scale_solves_without_warning(self, scale):
+        # I + X^T X overflows here, which stops the ADM; the closed form
+        # returns the row-space projector and an E of order 1 / (2 lam s)
+        X = rand((15, 8), 58) * scale
+        sol = solver.solve_lrr_self(X, "frobenius_sq", solver.SolverOptions(lam=0.7))
+        assert np.abs(sol.Z - np.eye(8)).max() <= 1e-13
+        assert sol.objective == pytest.approx(8.0, rel=1e-13)
+        assert sol.final_residuals[0] <= 1e-13 * np.abs(X).max()
+        assert 0.0 < np.abs(sol.E).max() < 1.0 / scale
+
+    def test_non_finite_objective_raises(self, monkeypatch):
+        monkeypatch.setattr(solver, "error_norm", lambda E, model: np.inf)
+        with pytest.raises(NumericalError):
+            solver.solve_lrr_self(rand((6, 4), 59), "frobenius_sq", solver.SolverOptions(lam=1.0))
 
 
 class TestReduceDictionary:
