@@ -72,7 +72,7 @@ def _add_io_args(p, dictionary=True):
         source.add_argument("--dict", dest="dictionary", default=None,
                             help="dictionary matrix A as CSV (default: --self)")
     source.add_argument("--self", dest="self_mode", action="store_true",
-                        help="use the data itself as the dictionary")
+                        help="use the data itself as the dictionary (default; no-op on segment)")
     p.add_argument("--header", action="store_true",
                    help="input CSVs carry a header row")
     p.add_argument("--normalize", action="store_true",
@@ -81,7 +81,9 @@ def _add_io_args(p, dictionary=True):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--seed", type=int, default=None,
+                        help="k-means seed of segment, data seed of replicate (default:"
+                             " LRR_SEED, else 0); solve and detect-outliers only echo it")
     common.add_argument("--output", required=True, help="output directory")
     ap = argparse.ArgumentParser(prog="lrr")
     sub = ap.add_subparsers(dest="command", required=True)

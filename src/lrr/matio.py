@@ -6,7 +6,6 @@ through a temp-file-and-rename so readers never see partial files."""
 
 import json
 import os
-import tempfile
 
 import numpy as np
 
@@ -16,9 +15,14 @@ from .linalg import as_matrix
 def _atomic_write(path, chunks):
     """Write the strings of ``chunks`` one at a time to a temp file beside
     ``path``, then rename it over ``path``. On any failure the temp file is
-    removed and ``path`` is left as it was."""
+    removed and ``path`` is left as it was.
+
+    The temp file is created with mode 0666 less the umask, the mode a plain
+    ``open`` would give, and ``os.replace`` keeps it; ``O_EXCL`` and a random
+    name make sure no other file is opened in its place."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)

@@ -63,11 +63,9 @@ def segmentation_accuracy(predicted, truth, strategy="auto"):
     return float(C[rows, cols].sum() / m)
 
 
-def auc(scores, truth):
-    """Area under the ROC curve via the rank statistic (ties get half
-    credit). ``truth`` marks the positives (outliers); higher scores must
-    mean more outlier-like. Raises ``UndefinedMetricError`` unless both
-    classes are present."""
+def _check_scores(scores, truth, metric):
+    """Scores and outlier flags as flat arrays of equal length, with the
+    counts of positives and negatives; both classes must be present."""
     s = np.asarray(scores, dtype=float).ravel()
     y = np.asarray(truth, dtype=bool).ravel()
     if s.size != y.size:
@@ -75,7 +73,16 @@ def auc(scores, truth):
     n_pos = int(y.sum())
     n_neg = int(y.size - n_pos)
     if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetricError("AUC needs at least one positive and one negative")
+        raise UndefinedMetricError(f"{metric} needs at least one positive and one negative")
+    return s, y, n_pos, n_neg
+
+
+def auc(scores, truth):
+    """Area under the ROC curve via the rank statistic (ties get half
+    credit). ``truth`` marks the positives (outliers); higher scores must
+    mean more outlier-like. Raises ``UndefinedMetricError`` unless both
+    classes are present."""
+    s, y, n_pos, n_neg = _check_scores(scores, truth, "AUC")
     # 1-based ranks, averaged over ties: a tie group ending at rank `end`
     # with `count` members has mean rank end - (count - 1) / 2.
     _, group, count = np.unique(s, return_inverse=True, return_counts=True)
@@ -120,12 +127,7 @@ def roc_sweep(scores, truth):
     """ROC points (false-positive rate, true-positive rate) over every
     distinct threshold, suitable for plotting; thresholds descend so the
     curve runs from (0,0) to (1,1)."""
-    s = np.asarray(scores, dtype=float).ravel()
-    y = np.asarray(truth, dtype=bool).ravel()
-    n_pos = int(y.sum())
-    n_neg = int(y.size - n_pos)
-    if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetricError("ROC needs at least one positive and one negative")
+    s, y, n_pos, n_neg = _check_scores(scores, truth, "ROC")
     order = np.argsort(-s, kind="stable")
     s, y = s[order], y[order]
     # a threshold admits a whole tie group, so keep the last index of each

@@ -333,11 +333,19 @@ def solve_lrr_reduced(X, A, model="l21", opts=None):
     the original dictionary.
     """
     X = as_matrix(X, "X")
+    A = as_matrix(A, "A")
     rd = reduce_dictionary(A)
-    inner = solve_lrr(X, rd.B, model, opts)
-    Z = rd.P_star @ inner.Z
-    feas = float(np.abs(X - as_matrix(A, "A") @ Z - inner.E).max())
-    return replace(inner, Z=Z, final_residuals=(feas, inner.final_residuals[1]))
+    return _lift(X, A, rd.P_star, solve_lrr(X, rd.B, model, opts))
+
+
+def _lift(X, A, V, sol, U=None):
+    """Map a solve in reduced coordinates back to the problem on (X, A):
+    ``Z = V Z'``, ``E = U E'`` (``E'`` itself when ``U`` is None), and the
+    feasibility residual ``final_residuals[0]`` measured on (X, A)."""
+    Z = V @ sol.Z
+    E = sol.E if U is None else U @ sol.E
+    feas = float(np.abs(X - A @ Z - E).max())
+    return replace(sol, Z=Z, E=E, final_residuals=(feas, sol.final_residuals[1]))
 
 
 def _frobenius_self(X, f, opts):
@@ -376,31 +384,28 @@ def solve_lrr_self(X, model="l21", opts=None):
     """Self-expressive solve with the data itself as dictionary (A = X).
 
     The minimizer lies in the row space of X, so with ``X = U S V^T`` the
-    problem is solved exactly for ``Z = V Z'``. ``frobenius_sq`` has a closed
-    form in that SVD and runs no ADM: the result has ``iterations=0``,
-    ``converged=True``, empty traces and ``final_residuals[1] = 0``.
-    ``l21`` and ``l1`` run one :func:`solve_lrr`. For ``l1``, which is not
-    rotation-invariant, that solve runs on ``X`` with dictionary ``U S``. For
+    problem is solved exactly for ``Z = V Z'``. ``l1``, which is not
+    rotation-invariant, is :func:`solve_lrr_reduced` on ``(X, X)``: one
+    :func:`solve_lrr` on ``X`` with the dictionary ``X V``. The other two
+    models have self-only shortcuts. ``frobenius_sq`` has a closed form in
+    that SVD and runs no ADM: the result has ``iterations=0``,
+    ``converged=True``, empty traces and ``final_residuals[1] = 0``. For
     ``l21`` every iterate of E also stays in span(U) and the penalty is
-    invariant under U, so the ambient rows drop out too: the solve runs on
-    ``S V^T`` with dictionary ``diag(S)`` and ``E = U E'``. On every path the
-    feasibility residual ``final_residuals[0]`` is measured on X itself.
+    invariant under U, so the ambient rows drop out too: one
+    :func:`solve_lrr` runs on ``S V^T`` with dictionary ``diag(S)`` and
+    ``E = U E'``. On every path the feasibility residual
+    ``final_residuals[0]`` is measured on X itself.
     """
     X = as_matrix(X, "X")
     if not X.any():
         raise DegenerateInputError("self-expressive solve needs a nonzero matrix")
+    if model == "l1":
+        return solve_lrr_reduced(X, X, model, opts)
     f = skinny_svd(X)
     if model == "frobenius_sq":
         return _frobenius_self(X, f, opts)
-    if model == "l1":
-        sol = solve_lrr(X, f.U * f.sigma, model, opts)
-        E = sol.E
-    else:
-        sol = solve_lrr(f.sigma[:, None] * f.V.T, np.diag(f.sigma), model, opts)
-        E = f.U @ sol.E
-    Z = f.V @ sol.Z
-    feas = float(np.abs(X - X @ Z - E).max())
-    return replace(sol, Z=Z, E=E, final_residuals=(feas, sol.final_residuals[1]))
+    sol = solve_lrr(f.sigma[:, None] * f.V.T, np.diag(f.sigma), model, opts)
+    return _lift(X, X, f.V, sol, f.U)
 
 
 def lambda_outlier_default(X, gamma_star):

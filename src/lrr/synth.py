@@ -143,14 +143,7 @@ def sample(ens, per_subspace, seed=0):
     X0 = np.hstack(cols)
     labels = np.repeat(np.arange(ens.k), per_subspace)
     empty = np.empty(0, dtype=int)
-    return SyntheticDataset(
-        X=X0.copy(),
-        X0=X0,
-        E0=np.zeros_like(X0),
-        true_labels=labels,
-        outlier_indices=empty,
-        corrupted_indices=empty.copy(),
-    )
+    return _rebuild(X0, np.zeros_like(X0), labels, empty, empty.copy())
 
 
 def _mean_authentic_column_norm(ds):

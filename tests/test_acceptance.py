@@ -1,5 +1,6 @@
 """Acceptance gate: one test per release criterion, each printing a
-PASS/FAIL line (run with ``pytest -s`` to watch them stream).
+PASS/FAIL line (run with ``pytest -s`` to watch them stream), plus a
+property that checks c11 over generated inputs.
 
 Criteria with long-running solves share module-scoped fixtures. The
 solver-vs-subgradient criterion checks against frozen oracle objectives;
@@ -9,6 +10,8 @@ set ``LRR_ORACLE_LIVE=1`` to regenerate them in-process instead
 import os
 import time
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -298,6 +301,41 @@ def test_c11_dictionary_reduction():
     ok &= t_reduced < t_direct
     report(11, "dictionary reduction", ok,
            f"worst Z dev={worst:.2e}; direct={t_direct:.2f}s reduced={t_reduced:.2f}s")
+
+
+@st.composite
+def reduction_cases(draw, max_side=10):
+    """``(X, A)`` with a Gaussian X and a dictionary A that is tall (full
+    column rank), wide (full row rank) or rank-deficient, sides up to
+    ``max_side``."""
+    kind = draw(st.sampled_from(["tall", "wide", "rank_deficient"]))
+    m = draw(st.integers(2, max_side - 2))
+    k = draw(st.integers(1, max_side - m))
+    n = draw(st.integers(2, max_side))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "tall":
+        A = rng.standard_normal((m + k, m))
+    elif kind == "wide":
+        A = rng.standard_normal((m, m + k))
+    else:
+        A = rng.standard_normal((m + k, m - 1)) @ rng.standard_normal((m - 1, m + 1))
+    return rng.standard_normal((A.shape[0], n)), A
+
+
+@pytest.mark.parametrize("model", solver.ERROR_MODELS)
+@hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@hypothesis.given(reduction_cases(), st.floats(0.2, 2.0))
+def test_c11_reduction_over_generated_inputs(model, case, lam):
+    # c11's equivalence over generated dictionaries: Z itself may differ
+    # between two converged solves, so both are held to the objective and
+    # to feasibility on the original (X, A)
+    X, A = case
+    opts = solver.SolverOptions(lam=lam)
+    direct = solver.solve_lrr(X, A, model, opts)
+    reduced = solver.solve_lrr_reduced(X, A, model, opts)
+    assert reduced.objective == pytest.approx(direct.objective, rel=1e-6)
+    for sol in (direct, reduced):
+        assert np.abs(X - A @ sol.Z - sol.E).max() <= 1e-7
 
 
 def test_c12_metric_oracles():

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import stat
 import tempfile
 
 import hypothesis
@@ -99,6 +100,18 @@ class TestMatio:
             matio.write_matrix_csv(p, np.arange(20.0).reshape(5, 4))
         assert p.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["m.csv"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_written_files_get_the_umask_mode(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            matio.write_matrix_csv(tmp_path / "m.csv", np.ones((2, 2)))
+            matio.write_json(tmp_path / "r.json", {"a": 1})
+        finally:
+            os.umask(old)
+        for name in ("m.csv", "r.json"):
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode
+        assert sorted(os.listdir(tmp_path)) == ["m.csv", "r.json"]
 
     def test_parse_error(self, tmp_path):
         p = tmp_path / "bad.csv"

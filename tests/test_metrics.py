@@ -129,6 +129,10 @@ class TestRocSweep:
         with pytest.raises(UndefinedMetricError):
             metrics.roc_sweep([0.1, 0.2], [False, False])
 
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            metrics.roc_sweep([0.1, 0.2, 0.3], [True, False])
+
 
 class TestRecoveryError:
     def test_same_projector(self):

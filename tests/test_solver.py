@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -14,6 +15,16 @@ from lrr.errors import DegenerateInputError, FeasibilityError, NumericalError
 
 def rand(shape, seed):
     return np.random.default_rng(seed).standard_normal(shape)
+
+
+def shaped_input(shape):
+    """A fixed tall (full column rank), wide (full row rank) or
+    rank-deficient X."""
+    if shape == "tall":
+        return rand((15, 8), 54)
+    if shape == "wide":
+        return rand((6, 10), 54)
+    return rand((12, 4), 52) @ rand((4, 15), 53)
 
 
 def independent_dataset(k=3, dim=2, ambient=24, per=6, seed=0):
@@ -337,11 +348,7 @@ class TestSolveLrrSelf:
     def test_matches_plain_solve(self, shape, model):
         # the self solve runs in the SVD coordinates of X; answers must
         # agree with the direct solve on the full dictionary anyway
-        X = {
-            "tall": lambda: rand((15, 8), 54),  # full column rank
-            "wide": lambda: rand((6, 10), 54),  # full row rank
-            "rank_deficient": lambda: rand((12, 4), 52) @ rand((4, 15), 53),
-        }[shape]()
+        X = shaped_input(shape)
         opts = solver.SolverOptions(lam=0.7)
         fast = solver.solve_lrr_self(X, model, opts)
         direct = solver.solve_lrr(X, X, model, opts)
@@ -351,8 +358,8 @@ class TestSolveLrrSelf:
     @pytest.mark.parametrize("model", solver.ERROR_MODELS)
     def test_one_solve_path(self, model, monkeypatch):
         # one solve_lrr in the SVD coordinates of X (none for frobenius_sq,
-        # which is a closed form there), no reduction, and the feasibility
-        # residual measured on X itself
+        # which is a closed form there; l1 reaches it through one reduction
+        # of X), and the feasibility residual measured on X itself
         calls = {"solve_lrr": 0, "solve_lrr_reduced": 0, "reduce_dictionary": 0}
         for name in calls:
             real = getattr(solver, name)
@@ -364,9 +371,20 @@ class TestSolveLrrSelf:
             monkeypatch.setattr(solver, name, counted)
         X = rand((12, 4), 55) @ rand((4, 9), 56)
         sol = solver.solve_lrr_self(X, model, solver.SolverOptions(lam=0.7))
+        reduced = 1 if model == "l1" else 0
         assert calls == {"solve_lrr": 0 if model == "frobenius_sq" else 1,
-                         "solve_lrr_reduced": 0, "reduce_dictionary": 0}
+                         "solve_lrr_reduced": reduced, "reduce_dictionary": reduced}
         assert sol.final_residuals[0] == np.abs(X - X @ sol.Z - sol.E).max()
+
+    @pytest.mark.parametrize("shape", ["tall", "wide", "rank_deficient"])
+    def test_l1_is_the_reduced_solve(self, shape):
+        X = shaped_input(shape)
+        opts = solver.SolverOptions(lam=0.7)
+        fast = solver.solve_lrr_self(X, "l1", opts)
+        ref = solver.solve_lrr_reduced(X, X, "l1", opts)
+        for field in dataclasses.fields(solver.LrrSolution):
+            a, b = getattr(fast, field.name), getattr(ref, field.name)
+            assert np.array_equal(a, b), field.name
 
     def test_wide_frobenius_converges(self):
         # 150 unit columns in R^100 from 5 rank-3 subspaces with 10% noise;
