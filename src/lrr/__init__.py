@@ -31,8 +31,6 @@ from .solver import (
     solve_lrr_self,
 )
 from .cluster import (
-    Affinity,
-    LaplacianSpectrum,
     SegmentationResult,
     build_affinity,
     detect_outliers,

@@ -199,6 +199,8 @@ def cmd_segment(args):
 def cmd_detect_outliers(args):
     X = _load_input(args)
     truth = _read_truth(args, X)
+    if args.delta is not None:
+        cluster._check_delta(args.delta)
     sol = _solve(args, X)
     scores = np.linalg.norm(sol.E, axis=0)
 

@@ -16,40 +16,34 @@ KMEANS_RESTARTS = 20
 KMEANS_MAX_SWEEPS = 100
 
 
-@dataclass(frozen=True)
-class Affinity:
-    """Symmetric nonnegative affinity matrix with entries in [0, 1].
-    ``degenerate`` flags the all-zero matrix produced from a zero input."""
-
-    W: np.ndarray
-    degenerate: bool = False
-
-    @property
-    def n(self):
-        return self.W.shape[0]
+def _check_tau(tau):
+    if not 0 < tau < 1:
+        raise ValueError("tau must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
-class LaplacianSpectrum:
-    """Singular values of the symmetric normalized Laplacian, sorted
-    non-decreasing. All values lie in [0, 2] up to roundoff."""
+def _check_delta(delta):
+    if not delta > 0:
+        raise ValueError("delta must be positive")
 
-    sigma: np.ndarray
 
-    @property
-    def n(self):
-        return self.sigma.size
+def _check_k(k, n):
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
 
 
 @dataclass(frozen=True)
 class SegmentationResult:
+    """Labels of :func:`segment` and the stages behind them: the solver's
+    ``solution``, the n x n ``affinity`` W and the sorted Laplacian
+    ``spectrum``."""
+
     labels: np.ndarray
     k: int
     outliers: np.ndarray | None
     k_hat: int | None
     solution: object = None
-    affinity: Affinity | None = None
-    spectrum: LaplacianSpectrum | None = None
+    affinity: np.ndarray | None = None
+    spectrum: np.ndarray | None = None
 
 
 def build_affinity(Z_star):
@@ -62,27 +56,25 @@ def build_affinity(Z_star):
 
         W_ij = ([U_tilde U_tilde^T]_ij)^2
 
-    Squaring makes every affinity nonnegative. W is exactly symmetric by
-    construction. A zero input yields the zero affinity with
-    ``degenerate=True``.
+    Returns the n x n array W for an n-row input. Squaring makes every
+    entry nonnegative, and the entries lie in [0, 1]. W is exactly symmetric
+    by construction. A zero input yields the zero matrix.
     """
     Z = as_matrix(Z_star, "Z_star")
     n = Z.shape[0]
     f = skinny_svd(Z, SOLUTION_RANK_TOL)
     if f.rank == 0:
-        return Affinity(W=np.zeros((n, n)), degenerate=True)
+        return np.zeros((n, n))
     U = f.U * np.sqrt(f.sigma)
     rn = np.linalg.norm(U, axis=1)
     nz = rn > 0
     U[nz] /= rn[nz, None]
     G = U @ U.T
     G = (G + G.T) / 2.0
-    return Affinity(W=G * G)
+    return G * G
 
 
 def _as_affinity_array(W):
-    if isinstance(W, Affinity):
-        return W.W
     W = as_matrix(W, "W")
     if W.shape[0] != W.shape[1]:
         raise ValueError(f"affinity must be square, got {W.shape}")
@@ -100,28 +92,29 @@ def _normalized_laplacian(W):
 
 
 def laplacian_spectrum(W):
-    """Singular values of ``L = I - D^{-1/2} W D^{-1/2}`` (non-decreasing).
+    """Singular values of ``L = I - D^{-1/2} W D^{-1/2}`` as an array sorted
+    non-decreasing, one per sample.
 
     L is symmetric positive semidefinite, so its singular values are its
     eigenvalues; tiny negative eigenvalues from roundoff are folded back by
-    absolute value.
+    absolute value. For an affinity with entries in [0, 1] every value lies
+    in [0, 2] up to roundoff.
     """
     L, _ = _normalized_laplacian(W)
-    vals = np.linalg.eigvalsh(L)
-    return LaplacianSpectrum(sigma=np.sort(np.abs(vals)))
+    return np.sort(np.abs(np.linalg.eigvalsh(L)))
 
 
 def estimate_k(spectrum, tau=DEFAULT_TAU):
-    """Estimated cluster count from the Laplacian spectrum.
+    """Estimated cluster count from the array of Laplacian singular values
+    (as :func:`laplacian_spectrum` returns them; their order plays no part).
 
     Counts singular values via the soft threshold f_tau (1 at or above tau,
     ``log2(1 + sigma^2/tau^2)`` below), rounds the total to the nearest
     integer (half away from zero), and returns ``n - total`` clamped to at
     least 1.
     """
-    if not 0 < tau < 1:
-        raise ValueError("tau must lie in (0, 1)")
-    s = spectrum.sigma if isinstance(spectrum, LaplacianSpectrum) else np.asarray(spectrum, dtype=float)
+    _check_tau(tau)
+    s = np.asarray(spectrum, dtype=float)
     soft = np.where(s >= tau, 1.0, np.log2(1.0 + (s / tau) ** 2))
     k_hat = s.size - int(math.floor(soft.sum() + 0.5))
     return max(k_hat, 1)
@@ -172,7 +165,8 @@ def _kmeans(points, k, rng):
 
 
 def ncut_segment(W, k, seed=0):
-    """Normalized-cut style spectral segmentation into ``k`` clusters.
+    """Normalized-cut style spectral segmentation of the n x n affinity
+    array ``W`` into ``k`` clusters; returns n integer labels.
 
     Embeds the samples with the k eigenvectors of the normalized Laplacian
     belonging to the smallest eigenvalues, scales the rows to unit length,
@@ -190,8 +184,7 @@ def ncut_segment(W, k, seed=0):
     """
     W = _as_affinity_array(W)
     n = W.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
+    _check_k(k, n)
     if k == 1:
         return np.zeros(n, dtype=int)
     W = W.copy()
@@ -215,8 +208,7 @@ def ncut_segment(W, k, seed=0):
 def detect_outliers(E_star, delta):
     """Indices of columns of ``E_star`` whose Euclidean norm exceeds
     ``delta``, sorted ascending."""
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    _check_delta(delta)
     E = as_matrix(E_star, "E_star")
     return np.flatnonzero(np.linalg.norm(E, axis=0) > delta)
 
@@ -227,15 +219,24 @@ def segment(X, k, model="l21", opts=None, tau=DEFAULT_TAU, delta=None, seed=0):
     seeded by ``seed``), and optional outlier detection (when ``delta`` is
     given).
 
+    ``tau``, ``delta`` and an integer ``k`` are checked before the solve.
     Returns a :class:`SegmentationResult` carrying labels plus every
     intermediate product as diagnostics.
     """
+    X = as_matrix(X, "X")
+    _check_tau(tau)
+    if delta is not None:
+        _check_delta(delta)
+    auto = isinstance(k, str) and k == "auto"
+    if not auto:
+        k = int(k)
+        _check_k(k, X.shape[1])
     sol = solve_lrr_self(X, model, opts)
-    aff = build_affinity(sol.Z)
-    spectrum = laplacian_spectrum(aff)
+    W = build_affinity(sol.Z)
+    spectrum = laplacian_spectrum(W)
     k_hat = estimate_k(spectrum, tau)
-    k_used = k_hat if isinstance(k, str) and k == "auto" else int(k)
-    labels = ncut_segment(aff, k_used, seed)
+    k_used = k_hat if auto else k
+    labels = ncut_segment(W, k_used, seed)
     outliers = detect_outliers(sol.E, delta) if delta is not None else None
     return SegmentationResult(
         labels=labels,
@@ -243,6 +244,6 @@ def segment(X, k, model="l21", opts=None, tau=DEFAULT_TAU, delta=None, seed=0):
         outliers=outliers,
         k_hat=k_hat,
         solution=sol,
-        affinity=aff,
+        affinity=W,
         spectrum=spectrum,
     )

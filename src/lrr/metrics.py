@@ -24,10 +24,13 @@ def _check_labels(predicted, truth):
 
 
 def _confusion(p, t):
-    kp = int(p.max()) + 1
-    kt = int(t.max()) + 1
-    C = np.zeros((kp, kt), dtype=np.int64)
-    np.add.at(C, (p, t), 1)
+    """Counts of each (cluster, class) pair, over the ids in use on each
+    side only: ids may be large or sparse, and an unused id adds an empty
+    row or column, which changes neither matching."""
+    _, pi = np.unique(p, return_inverse=True)
+    _, ti = np.unique(t, return_inverse=True)
+    C = np.zeros((pi.max() + 1, ti.max() + 1), dtype=np.int64)
+    np.add.at(C, (pi, ti), 1)
     return C
 
 
@@ -38,20 +41,19 @@ def segmentation_accuracy(predicted, truth, strategy="auto"):
     ``global`` finds the best one-to-one matching of cluster ids to class
     ids (linear assignment on the confusion matrix). ``local`` gives each
     cluster the class contributing most of its members; two clusters may
-    collide on a label. ``auto`` uses global below 10 clusters and local
-    from 10 up.
+    collide on a label. ``auto`` uses global while the largest cluster id
+    is below 9 (fewer than 10 ids from 0) and local otherwise. Ids may be
+    any nonnegative integers; only the ids in use are counted.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
     p, t = _check_labels(predicted, truth)
     C = _confusion(p, t)
-    kp, kt = C.shape
     if strategy == "auto":
-        strategy = "global" if kp < 10 else "local"
+        strategy = "global" if p.max() < 9 else "local"
     m = p.size
     if strategy == "local":
-        hits = sum(C[c, np.argmax(C[c])] for c in range(kp))
-        return float(hits / m)
+        return float(C.max(axis=1).sum() / m)
     # Imported on first use: loading scipy.sparse adds about 4 MB and 50 ms
     # to the start of every process.
     from scipy.sparse import csr_array

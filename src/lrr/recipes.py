@@ -100,14 +100,14 @@ def make_fig6_dataset(seed=0):
 def replicate_fig3(seed=0):
     ds = make_fig3_dataset(seed)
     Z = solver.solve_lrr_clean(ds.X, ds.X)
-    aff = cluster.build_affinity(Z)
-    labels = cluster.ncut_segment(aff, 11, seed=seed)
+    W = cluster.build_affinity(Z)
+    labels = cluster.ncut_segment(W, 11, seed=seed)
     acc = metrics.segmentation_accuracy(labels, ds.true_labels)
     return ReplicationOutput(
         figure="fig3",
         config={"k": 11, "dim": 20, "ambient": 200, "per_subspace": 20, "seed": seed},
         metrics={"segmentation_accuracy": acc, "k": 11},
-        tables={"affinity": aff.W},
+        tables={"affinity": W},
         labels=labels,
         dataset=ds,
     )
@@ -157,7 +157,7 @@ def replicate_fig4(seed=0):
         tables={
             "lambda_sweep": np.asarray(rows),
             "error_column_norms": scores.reshape(1, -1),
-            "affinity": cluster.build_affinity(rep_sol.Z).W,
+            "affinity": cluster.build_affinity(rep_sol.Z),
         },
         outliers=ds.outlier_indices,
         dataset=ds,
@@ -192,7 +192,7 @@ def _replicate_fig5(figure, seed, corrupt_scale):
         },
         tables={
             "error_column_norms": norms.reshape(1, -1),
-            "affinity": cluster.build_affinity(sol.Z).W,
+            "affinity": cluster.build_affinity(sol.Z),
         },
         outliers=detected,
         dataset=ds,
@@ -221,8 +221,8 @@ def replicate_fig6(seed=0):
         "iterations": sol.iterations,
         "converged": bool(sol.converged),
     }
-    aff = cluster.build_affinity(sol.Z)
-    labels = cluster.ncut_segment(aff, 10, seed=seed)
+    W = cluster.build_affinity(sol.Z)
+    labels = cluster.ncut_segment(W, 10, seed=seed)
     auth = ds.authentic_indices()
     out["segmentation_accuracy_authentic"] = metrics.segmentation_accuracy(
         labels[auth], ds.true_labels[auth]
@@ -237,7 +237,7 @@ def replicate_fig6(seed=0):
         metrics=out,
         tables={
             "error_column_norms": np.linalg.norm(sol.E, axis=0).reshape(1, -1),
-            "affinity": aff.W,
+            "affinity": W,
         },
         labels=labels,
         dataset=ds,

@@ -4,7 +4,7 @@ gross sample-specific corruptions, appended outliers).
 
 Every generator is a pure function of its inputs and seed; datasets are
 immutable and each mutation returns a new one with ``X == X0 + E0`` kept
-exact (X is recomputed from the parts)."""
+exact (X is derived from the parts on first read)."""
 
 import functools
 import math
@@ -36,14 +36,16 @@ class SubspaceEnsemble:
 
 @dataclass(frozen=True)
 class SyntheticDataset:
-    """Observed matrix X = X0 + E0 with the planted structure recorded.
+    """Clean part X0 and planted error E0, with the planted structure
+    recorded.
 
-    ``true_labels`` holds the subspace index per column, -1 for outliers.
-    Columns of X0 at ``outlier_indices`` are exactly zero. ``V0`` is an
-    orthonormal basis of the row space of X0, computed on first read.
+    The observed matrix ``X = X0 + E0`` is derived from the two parts on
+    first read and cached. ``true_labels`` holds the subspace index per
+    column, -1 for outliers. Columns of X0 at ``outlier_indices`` are
+    exactly zero. ``V0`` is an orthonormal basis of the row space of X0,
+    also computed on first read.
     """
 
-    X: np.ndarray
     X0: np.ndarray
     E0: np.ndarray
     true_labels: np.ndarray
@@ -51,16 +53,20 @@ class SyntheticDataset:
     corrupted_indices: np.ndarray
 
     @functools.cached_property
+    def X(self):
+        return self.X0 + self.E0
+
+    @functools.cached_property
     def V0(self):
         return skinny_svd(self.X0).V
 
     @property
     def n(self):
-        return self.X.shape[1]
+        return self.X0.shape[1]
 
     @property
     def d(self):
-        return self.X.shape[0]
+        return self.X0.shape[0]
 
     @property
     def rank0(self):
@@ -121,17 +127,6 @@ def gen_ensemble(k, dim, ambient, mode="disjoint", seed=0):
     return SubspaceEnsemble(bases=tuple(bases), mode=mode, seed=seed)
 
 
-def _rebuild(X0, E0, labels, outliers, corrupted):
-    return SyntheticDataset(
-        X=X0 + E0,
-        X0=X0,
-        E0=E0,
-        true_labels=labels,
-        outlier_indices=outliers,
-        corrupted_indices=corrupted,
-    )
-
-
 def sample(ens, per_subspace, seed=0):
     """Draw ``per_subspace`` clean samples from each subspace (basis times
     standard Gaussian coefficients). Labels run in k blocks of
@@ -143,7 +138,7 @@ def sample(ens, per_subspace, seed=0):
     X0 = np.hstack(cols)
     labels = np.repeat(np.arange(ens.k), per_subspace)
     empty = np.empty(0, dtype=int)
-    return _rebuild(X0, np.zeros_like(X0), labels, empty, empty.copy())
+    return SyntheticDataset(X0, np.zeros_like(X0), labels, empty, empty.copy())
 
 
 def _mean_authentic_column_norm(ds):
@@ -180,7 +175,7 @@ def add_outliers(ds, count, magnitude_scale=3.0, seed=0, shuffle=False):
         inv[perm] = np.arange(perm.size)
         outliers = np.sort(inv[outliers])
         corrupted = np.sort(inv[corrupted])
-    return _rebuild(X0, E0, labels, outliers, corrupted)
+    return SyntheticDataset(X0, E0, labels, outliers, corrupted)
 
 
 def corrupt_samples(ds, fraction, magnitude_scale=0.7, seed=0):
@@ -205,7 +200,7 @@ def corrupt_samples(ds, fraction, magnitude_scale=0.7, seed=0):
     E0 = ds.E0.copy()
     E0[:, chosen] += noise
     corrupted = np.union1d(ds.corrupted_indices, chosen)
-    return _rebuild(ds.X0, E0, ds.true_labels, ds.outlier_indices, corrupted)
+    return SyntheticDataset(ds.X0, E0, ds.true_labels, ds.outlier_indices, corrupted)
 
 
 def add_noise(ds, level, seed=0):
@@ -224,7 +219,8 @@ def add_noise(ds, level, seed=0):
     rms = float(np.sqrt(np.mean(ds.X0[:, auth] ** 2)))
     E0 = ds.E0.copy()
     E0[:, targets] += rng.normal(0.0, level * rms, size=(ds.d, targets.size))
-    return _rebuild(ds.X0, E0, ds.true_labels, ds.outlier_indices, ds.corrupted_indices)
+    return SyntheticDataset(ds.X0, E0, ds.true_labels, ds.outlier_indices,
+                            ds.corrupted_indices)
 
 
 def unit_column_scale(X):
@@ -244,8 +240,8 @@ def normalize_columns(ds):
     sample magnitude. Columns with zero norm are left untouched.
     """
     scale = unit_column_scale(ds.X)
-    return _rebuild(ds.X0 * scale, ds.E0 * scale, ds.true_labels,
-                    ds.outlier_indices, ds.corrupted_indices)
+    return SyntheticDataset(ds.X0 * scale, ds.E0 * scale, ds.true_labels,
+                            ds.outlier_indices, ds.corrupted_indices)
 
 
 def smallest_principal_angle(B1, B2):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from lrr import matio, solver, synth
+from lrr import cluster, matio, metrics, solver, synth
 from lrr.cli import main
 
 # Top-level keys of result.json, as documented in the README.
@@ -314,6 +314,34 @@ class TestSegmentCommand:
                      "--lambda", "1000", "--output", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--tau", "1.5"], ["--delta", "-1"],
+                                       ["--k", "0"], ["--k", "999"]])
+    def test_bad_parameter_exit_2_before_solving(self, tmp_path, monkeypatch, flags):
+        _, x_path, _ = write_dataset(tmp_path)
+
+        def no_solve(*args):
+            raise AssertionError("solved before checking the parameters")
+
+        monkeypatch.setattr(solver, "solve_lrr_self", no_solve)
+        monkeypatch.setattr(cluster, "solve_lrr_self", no_solve)
+        out = tmp_path / "o"
+        assert main(["segment", "--input", x_path, "--lambda", "1000", *flags,
+                     "--output", str(out)]) == 2
+        assert not out.exists()
+
+    def test_huge_truth_ids_give_compact_accuracy(self, tmp_path):
+        ds, x_path, _ = write_dataset(tmp_path)
+        t_path = tmp_path / "huge.csv"
+        matio.write_matrix_csv(t_path, ds.true_labels.reshape(-1, 1) * 1e12)
+        out = tmp_path / "o"
+        # two clusters for three classes, so the accuracy is below 1
+        assert main(["segment", "--input", x_path, "--k", "2", "--lambda", "1000",
+                     "--truth", str(t_path), "--output", str(out)]) == 0
+        labels = matio.read_int_vector(out / "labels.csv")
+        accuracy = matio.read_json(out / "result.json")["metrics"]["accuracy"]
+        assert accuracy == metrics.segmentation_accuracy(labels, ds.true_labels)
+        assert accuracy < 1.0
+
 
 class TestDetectOutliersCommand:
     def test_with_truth_and_delta(self, tmp_path):
@@ -350,6 +378,18 @@ class TestDetectOutliersCommand:
         out = tmp_path / "o"
         assert main(["detect-outliers", "--input", x_path, "--lambda", "0.6",
                      "--truth", str(f_path), "--output", str(out)]) == 2
+        assert not out.exists()
+
+    def test_bad_delta_exit_2_before_solving(self, tmp_path, monkeypatch):
+        _, x_path, _ = write_dataset(tmp_path, outliers=4)
+
+        def no_solve(*args):
+            raise AssertionError("solved before checking --delta")
+
+        monkeypatch.setattr(solver, "solve_lrr_self", no_solve)
+        out = tmp_path / "o"
+        assert main(["detect-outliers", "--input", x_path, "--lambda", "0.6",
+                     "--delta", "-1", "--output", str(out)]) == 2
         assert not out.exists()
 
     def test_no_truth_auc_null(self, tmp_path):

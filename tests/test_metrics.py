@@ -1,3 +1,5 @@
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -63,6 +65,33 @@ class TestSegmentationAccuracy:
         truth = np.repeat(np.arange(12), 10)
         pred = truth % 7
         assert metrics.segmentation_accuracy(pred, truth) == pytest.approx(70 / 120)
+
+    @pytest.mark.parametrize("strategy", metrics.STRATEGIES)
+    def test_huge_ids_give_compact_accuracy(self, strategy):
+        pred = np.array([0, 0, 1, 1, 2, 2, 2, 0])
+        truth = np.array([1, 1, 0, 0, 2, 2, 0, 0])
+        expected = metrics.segmentation_accuracy(pred, truth, strategy)
+        shift = 10**12
+        assert metrics.segmentation_accuracy(pred, truth + shift, strategy) == expected
+        if strategy != "auto":  # auto reads the largest predicted id
+            assert metrics.segmentation_accuracy(pred + shift, truth + shift,
+                                                 strategy) == expected
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def test_gapped_ids_match_oracle_on_compact_ids(self, data):
+        # compact ids 0..3 on each side, renamed through injective maps into
+        # [0, 10^12]; the oracle sees the compact ids
+        m = data.draw(st.integers(1, 12))
+        compact = st.lists(st.integers(0, 3), min_size=m, max_size=m)
+        pred, truth = np.array(data.draw(compact)), np.array(data.draw(compact))
+        ids = st.lists(st.integers(0, 10**12), min_size=4, max_size=4, unique=True)
+        pred_ids, truth_ids = np.array(data.draw(ids)), np.array(data.draw(ids))
+        expected = oracles.accuracy_by_exhaustive_maps(pred, truth)
+        got = metrics.segmentation_accuracy(pred_ids[pred], truth_ids[truth], "global")
+        assert got == pytest.approx(expected)
+        assert metrics.segmentation_accuracy(pred_ids[pred], truth_ids[truth], "local") \
+            == metrics.segmentation_accuracy(pred, truth, "local")
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
