@@ -40,7 +40,7 @@ EXIT_NO_CONVERGENCE = 4
 # whose type and default are the field's own.
 SCHEDULE = [f for f in dataclasses.fields(solver.SolverOptions) if f.name != "lam"]
 SOLVER_FIELDS = ("iterations", "converged", "final_residuals", "objective",
-                 "objective_trace")
+                 "objective_trace", "warm_sweeps")
 
 
 def _seed(args):

@@ -16,14 +16,14 @@ model needs no iteration: its minimizer is a closed form in that SVD.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy
 
 from .errors import DegenerateInputError, FeasibilityError, NumericalError
 from .linalg import as_matrix, norm, pseudoinverse, skinny_svd, svt_with_nuclear
-from .linalg import _column_shrink, _entry_shrink
+from .linalg import _EPS, _column_shrink, _entry_shrink
 
 ERROR_MODELS = ("l21", "l1", "frobenius_sq")
 
@@ -86,7 +86,9 @@ class LrrSolution:
     the returned iterates; ``objective_trace`` holds the per-iteration
     surrogate (nuclear norm of the thresholded variable, which coincides
     with the objective at convergence). ``mu_trace`` records the penalty
-    value used at each iteration.
+    value used at each iteration. ``warm_sweeps`` counts the leading sweeps
+    that the self-expressive ``l21`` solve ran in closed form (see
+    :func:`solve_lrr_self`); it is 0 on every other path.
     """
 
     Z: np.ndarray
@@ -97,6 +99,7 @@ class LrrSolution:
     objective: float
     objective_trace: np.ndarray
     mu_trace: np.ndarray
+    warm_sweeps: int = 0
 
 
 @dataclass(frozen=True)
@@ -145,6 +148,31 @@ def _z_step(A):
             (lambda R, out: np.matmul(inverse, R, out=out)))
 
 
+def _check_args(model, opts):
+    if opts is None:
+        raise ValueError("opts is required (lam has no universal default)")
+    if model not in ERROR_MODELS:
+        raise ValueError(f"unknown error model {model!r}; expected one of {ERROR_MODELS}")
+
+
+@dataclass
+class _AdmState:
+    """The ADM loop between two sweeps: the iterates ``Z, E, Y1, Y2``, the
+    penalty ``mu`` of the next sweep, the SVT basis the last threshold kept
+    (None before the first sweep), the sweeps run so far and their traces.
+    :func:`_run_adm` writes the four arrays in place."""
+
+    Z: np.ndarray
+    E: np.ndarray
+    Y1: np.ndarray
+    Y2: np.ndarray
+    mu: float
+    basis: object = None
+    iterations: int = 0
+    obj_trace: list = field(default_factory=list)
+    mu_trace: list = field(default_factory=list)
+
+
 def solve_lrr(X, A, model="l21", opts=None):
     """Alternating-direction solve of the representation problem on (X, A).
 
@@ -155,11 +183,33 @@ def solve_lrr(X, A, model="l21", opts=None):
     ``opts.eps`` or after ``opts.max_iters`` sweeps (``converged=False``);
     raises ``NumericalError`` as soon as either residual is not finite.
 
-    The Z-step takes one of two forms, chosen from ``A`` itself: a square
-    diagonal dictionary ``diag(s)`` makes it a row scaling by
-    ``1 / (1 + s^2)`` with no factorization, and any other dictionary
-    applies ``(I + A^T A)^{-1}``, formed once from a Cholesky factor, with
-    one matrix product per sweep. Both give the same iterates to roundoff.
+    This function checks the inputs and sets up the Z-step; the sweeps run
+    in :func:`_run_adm`, started here from the zero state. The Z-step takes
+    one of two forms, chosen from ``A`` itself: a square diagonal
+    dictionary ``diag(s)`` makes it a row scaling by ``1 / (1 + s^2)`` with
+    no factorization, and any other dictionary applies
+    ``(I + A^T A)^{-1}``, formed once from a Cholesky factor, with one
+    matrix product per sweep. Both give the same iterates to roundoff.
+    ``X`` and ``A`` are never written, and the returned ``Z`` and ``E``
+    share no memory with them or with each other.
+    """
+    X = as_matrix(X, "X")
+    A = as_matrix(A, "A")
+    _check_args(model, opts)
+    d, n = X.shape
+    if A.shape[0] != d:
+        raise ValueError(f"X has {d} rows but dictionary A has {A.shape[0]}")
+    n_a = A.shape[1]
+    state = _AdmState(Z=np.zeros((n_a, n)), E=np.zeros((d, n)), Y1=np.zeros((d, n)),
+                      Y2=np.zeros((n_a, n)), mu=opts.mu_init)
+    return _run_adm(X, _z_step(A), model, opts, state)
+
+
+def _run_adm(X, ops, model, opts, state):
+    """Run ADM sweeps on ``X`` from ``state`` until both residuals fall
+    below ``opts.eps`` or ``opts.max_iters`` sweeps have run in all, counting
+    those already in ``state``, which must leave at least one. ``ops`` are
+    the Z-step operators of :func:`_z_step` for the dictionary.
 
     The sweep carries one piece of state besides the iterates: the right
     singular basis that the last threshold kept, handed to the next
@@ -172,49 +222,29 @@ def solve_lrr(X, A, model="l21", opts=None):
 
     Apart from the arrays that the SVT and the l21 or l1 shrink return, a
     sweep allocates nothing of an iterate's size: it works in four arrays
-    allocated once per solve, two of ``Z``'s shape and two of ``X``'s,
+    allocated once per call, two of ``Z``'s shape and two of ``X``'s,
     through ``out=`` arguments, in-place operators and the ``op(M, out)``
     operators of :func:`_z_step`. ``X - A Z`` is formed once and serves both
     the E-step input and the feasibility residual. Each sum is taken in the
     order of the plain expression in the comment above it, so the iterates
     are bit-identical to evaluating those expressions one fresh array at a
-    time. ``X`` and ``A`` are never written, and the returned ``Z`` and
-    ``E`` share no memory with them or with each other.
+    time.
     """
-    X = as_matrix(X, "X")
-    A = as_matrix(A, "A")
-    if opts is None:
-        raise ValueError("opts is required (lam has no universal default)")
-    if model not in ERROR_MODELS:
-        raise ValueError(f"unknown error model {model!r}; expected one of {ERROR_MODELS}")
-    d, n = X.shape
-    if A.shape[0] != d:
-        raise ValueError(f"X has {d} rows but dictionary A has {A.shape[0]}")
-    n_a = A.shape[1]
-
-    # The Z-step operators are constant across sweeps: set them up once.
-    apply_a, apply_at, z_solve = _z_step(A)
-
+    apply_a, apply_at, z_solve = ops
     lam = opts.lam
-    mu = opts.mu_init
-    Z = np.zeros((n_a, n))
-    E = np.zeros((d, n))
-    Y1 = np.zeros((d, n))
-    Y2 = np.zeros((n_a, n))
-    basis = None
+    Z, E, Y1, Y2, mu, basis = state.Z, state.E, state.Y1, state.Y2, state.mu, state.basis
+    iterations = state.iterations
+    obj_trace = state.obj_trace
+    mu_trace = state.mu_trace
     # Work arrays, reused by every sweep. M holds the SVT input, then
     # (A^T Y1 - Y2) / mu, then R2; D holds X - E, then X - A Z, then R1.
-    M = np.empty((n_a, n))
-    rhs = np.empty((n_a, n))
-    D = np.empty((d, n))
-    G = np.empty((d, n))
-
-    obj_trace = []
-    mu_trace = []
+    M = np.empty(Z.shape)
+    rhs = np.empty(Z.shape)
+    D = np.empty(X.shape)
+    G = np.empty(X.shape)
     converged = False
-    iterations = 0
 
-    for _ in range(opts.max_iters):
+    for _ in range(opts.max_iters - iterations):
         iterations += 1
         mu_trace.append(mu)
 
@@ -280,6 +310,94 @@ def solve_lrr(X, A, model="l21", opts=None):
         objective_trace=np.asarray(obj_trace),
         mu_trace=np.asarray(mu_trace),
     )
+
+
+# Relative room that the fast-forward leaves on each of its handoff tests,
+# so that the rounding of the plain sweep cannot decide a test otherwise.
+_WARM_MARGIN = 1e-6
+
+
+def _fast_forward(s, Vt, opts):
+    """The leading sweeps of the ADM on ``(diag(s) V^T, diag(s))`` from the
+    zero state, run on vectors of length r while they stay exact; returns
+    the :class:`_AdmState` at the handoff. ``V^T`` (r x n, r <= n) has
+    orthonormal rows.
+
+    While the E-step returns zero, every iterate is ``diag(.) V^T``. The
+    SVT of ``diag(m) V^T`` is then the soft threshold of ``m`` (its
+    singular values are ``|m_i|``), the Z-step and both multiplier updates
+    are row scalings, and the squared column norms of ``G = diag(g) V^T``,
+    which decide the E-step, are ``(g o g)^T (V o V)``. Each vector step
+    repeats the plain sweep's operations in the same order.
+
+    The fast-forward stops before the first sweep that might not fit that
+    form or might converge: one whose largest predicted column norm of G
+    exceeds ``(1 - 1e-6) lam / mu``, or whose ``||d|| / sqrt(r n)``, a
+    lower bound on the feasibility residual ``||diag(d) V^T||_inf``, is
+    below ``(1 + 1e-6) eps``. It also leaves the last of ``max_iters``
+    sweeps to the plain loop, which so reports that sweep's residuals.
+    Column norms are taken from ``g / max|g|``, so no square over- or
+    underflows, and a non-finite value hands off at once, for the plain
+    loop to report.
+
+    It runs no sweep when ``2^-52 max|diag(s) V^T|`` exceeds ``1e-6 eps``.
+    The plain loop forms each residual entry as a difference of terms of
+    that size, so its rounding is then not small next to that room: it
+    decides the sweep at which the plain loop stops, and would move it for
+    any other order of operations.
+    """
+    r, n = Vt.shape
+    lam = opts.lam
+    gram = 1.0 + s * s
+    W = Vt * Vt
+    z, y1, y2 = np.zeros(r), np.zeros(r), np.zeros(r)
+    mu = opts.mu_init
+    r1_floor = (1.0 + _WARM_MARGIN) * opts.eps * math.sqrt(r * n)
+    mu_trace, obj_trace = [], []
+    basis = None
+    rounding = _EPS * (s * np.abs(Vt).max(axis=1)).max()
+    limit = opts.max_iters - 1 if rounding <= _WARM_MARGIN * opts.eps else 0
+    while len(mu_trace) < limit:
+        # M = Z + Y2 / mu, and its threshold J
+        m = y2 / mu
+        m += z
+        t = np.maximum(np.abs(m) - 1.0 / mu, 0.0)
+        j = np.copysign(t, m)
+        # rhs = A^T (X - E) + J + (A^T Y1 - Y2) / mu, Z = rhs / (1 + s^2)
+        rhs = s * s
+        rhs += j
+        q = s * y1
+        q -= y2
+        q /= mu
+        rhs += q
+        z_next = rhs / gram
+        # D = X - A Z, then G = D + Y1 / mu
+        d = s * z_next
+        np.subtract(s, d, out=d)
+        g = y1 / mu
+        g += d
+        g_peak = np.abs(g).max()
+        d_peak = np.abs(d).max()
+        widest = g_peak * math.sqrt(((g / g_peak) ** 2 @ W).max()) if g_peak else 0.0
+        d_norm = d_peak * np.linalg.norm(d / d_peak) if d_peak else 0.0
+        if not (widest <= (1.0 - _WARM_MARGIN) * lam / mu and d_norm >= r1_floor):
+            break
+        # E = 0, so R1 = D: Y1 += mu R1, Y2 += mu (Z - J)
+        z = z_next
+        d *= mu
+        y1 += d
+        q = z - j
+        q *= mu
+        y2 += q
+        mu_trace.append(mu)
+        obj_trace.append(float(t.sum()))
+        mu = min(opts.rho * mu, opts.mu_max)
+        # the basis the plain SVT would return: of M^T when M is wide
+        kept = t > 0.0
+        basis = np.eye(r)[:, kept] if r < n else Vt[kept].T
+    return _AdmState(Z=z[:, None] * Vt, E=np.zeros((r, n)), Y1=y1[:, None] * Vt,
+                     Y2=y2[:, None] * Vt, mu=mu, basis=basis, iterations=len(mu_trace),
+                     obj_trace=obj_trace, mu_trace=mu_trace)
 
 
 def solve_lrr_clean(X, A):
@@ -358,8 +476,6 @@ def _frobenius_self(X, f, opts):
     the identity on the range of Z and has spectral norm at most 1, so it
     lies in the subdifferential of ``||Z||_*``: the KKT conditions hold.
     """
-    if opts is None:
-        raise ValueError("opts is required (lam has no universal default)")
     # w = 1 / max(c, 1) <= 1, so no square overflows; s w w is s / c^2 as
     # (s / c) / c, which does not underflow before 1 / (2 lam s) does.
     w = 1.0 / np.maximum(f.sigma * math.sqrt(2.0 * opts.lam), 1.0)
@@ -391,21 +507,32 @@ def solve_lrr_self(X, model="l21", opts=None):
     that SVD and runs no ADM: the result has ``iterations=0``,
     ``converged=True``, empty traces and ``final_residuals[1] = 0``. For
     ``l21`` every iterate of E also stays in span(U) and the penalty is
-    invariant under U, so the ambient rows drop out too: one
-    :func:`solve_lrr` runs on ``S V^T`` with dictionary ``diag(S)`` and
-    ``E = U E'``. On every path the feasibility residual
-    ``final_residuals[0]`` is measured on X itself.
+    invariant under U, so the ambient rows drop out too: the ADM runs on
+    ``S V^T`` with dictionary ``diag(S)`` from the zero state and
+    ``E = U E'``. Its leading sweeps, while the E-step returns zero, are
+    run in closed form on vectors of length r (:func:`_fast_forward`;
+    ``warm_sweeps`` counts them), and :func:`_run_adm` runs the rest from
+    there. The result is that of :func:`solve_lrr` on the same problem to
+    roundoff, with the same ``iterations``, ``converged`` and ``mu_trace``.
+    On every path the feasibility residual ``final_residuals[0]`` is
+    measured on X itself.
     """
     X = as_matrix(X, "X")
     if not X.any():
         raise DegenerateInputError("self-expressive solve needs a nonzero matrix")
+    _check_args(model, opts)
     if model == "l1":
         return solve_lrr_reduced(X, X, model, opts)
     f = skinny_svd(X)
     if model == "frobenius_sq":
         return _frobenius_self(X, f, opts)
-    sol = solve_lrr(f.sigma[:, None] * f.V.T, np.diag(f.sigma), model, opts)
-    return _lift(X, X, f.V, sol, f.U)
+    Vt = f.V.T
+    # set up first: an overflowing I + S^2 raises before the fast-forward
+    ops = _z_step(np.diag(f.sigma))
+    state = _fast_forward(f.sigma, Vt, opts)
+    warm_sweeps = state.iterations
+    sol = _run_adm(f.sigma[:, None] * Vt, ops, model, opts, state)
+    return _lift(X, X, f.V, replace(sol, warm_sweeps=warm_sweeps), f.U)
 
 
 def lambda_outlier_default(X, gamma_star):

@@ -357,10 +357,10 @@ class TestSolveLrrSelf:
 
     @pytest.mark.parametrize("model", solver.ERROR_MODELS)
     def test_one_solve_path(self, model, monkeypatch):
-        # one solve_lrr in the SVD coordinates of X (none for frobenius_sq,
+        # one ADM loop in the SVD coordinates of X (none for frobenius_sq,
         # which is a closed form there; l1 reaches it through one reduction
         # of X), and the feasibility residual measured on X itself
-        calls = {"solve_lrr": 0, "solve_lrr_reduced": 0, "reduce_dictionary": 0}
+        calls = {"_run_adm": 0, "solve_lrr_reduced": 0, "reduce_dictionary": 0}
         for name in calls:
             real = getattr(solver, name)
 
@@ -372,7 +372,7 @@ class TestSolveLrrSelf:
         X = rand((12, 4), 55) @ rand((4, 9), 56)
         sol = solver.solve_lrr_self(X, model, solver.SolverOptions(lam=0.7))
         reduced = 1 if model == "l1" else 0
-        assert calls == {"solve_lrr": 0 if model == "frobenius_sq" else 1,
+        assert calls == {"_run_adm": 0 if model == "frobenius_sq" else 1,
                          "solve_lrr_reduced": reduced, "reduce_dictionary": reduced}
         assert sol.final_residuals[0] == np.abs(X - X @ sol.Z - sol.E).max()
 
@@ -456,9 +456,109 @@ class TestSolveLrrSelf:
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         monkeypatch.setattr(solver, "svt_with_nuclear", counted_svt)
         sol = solver.solve_lrr_self(X, "l21", solver.SolverOptions(lam=0.3))
-        assert sol.converged and len(nonzero) == sol.iterations
+        # the fast-forwarded sweeps threshold in closed form, with no SVT call
+        assert sol.converged and len(nonzero) == sol.iterations - sol.warm_sweeps
         assert sum(nonzero) >= 40
         assert sum(eighs) <= sum(nonzero) // 4
+
+
+def plain_self_l21(X, opts):
+    """The ``l21`` problem that ``solve_lrr_self`` solves, on ``(S V^T,
+    diag(S))``, solved by ``solve_lrr`` from the zero state with no sweep
+    fast-forwarded, and mapped back to X the same way."""
+    f = linalg.skinny_svd(X)
+    sol = solver.solve_lrr(f.sigma[:, None] * f.V.T, np.diag(f.sigma), "l21", opts)
+    return solver._lift(X, X, f.V, sol, f.U)
+
+
+def assert_same_solve(fast, plain, X):
+    """The same sweeps, and the same answer to roundoff."""
+    assert fast.iterations == plain.iterations
+    assert fast.converged == plain.converged
+    assert np.array_equal(fast.mu_trace, plain.mu_trace)
+    assert np.abs(fast.Z - plain.Z).max() <= 1e-12 * max(1.0, np.abs(plain.Z).max())
+    assert np.abs(fast.E - plain.E).max() <= 1e-12 * np.abs(X).max()
+    assert fast.objective == pytest.approx(plain.objective, rel=1e-12, abs=0.0)
+    trace_scale = max(1.0, np.abs(plain.objective_trace).max())
+    assert np.abs(fast.objective_trace - plain.objective_trace).max() <= 1e-12 * trace_scale
+
+
+class TestFastForward:
+    """The self-expressive ``l21`` solve runs its leading sweeps, while the
+    E-step returns zero, in closed form; the plain ADM from the zero state
+    is the reference. The pytest configuration raises every RuntimeWarning,
+    so these tests also show that no handoff test over- or underflows."""
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(self_inputs(), st.integers(-150, 150), st.floats(-2.0, 3.0),
+                      st.one_of(st.just(1000), st.integers(1, 150)))
+    def test_matches_plain_solve(self, X, scale_exp, lam_exp, max_iters):
+        X = X * 10.0 ** scale_exp
+        opts = solver.SolverOptions(lam=10.0 ** lam_exp, max_iters=max_iters)
+        fast = solver.solve_lrr_self(X, "l21", opts)
+        assert 0 <= fast.warm_sweeps < fast.iterations
+        assert_same_solve(fast, plain_self_l21(X, opts), X)
+
+    @pytest.mark.parametrize("shape", ["tall", "wide", "rank_deficient"])
+    def test_max_iters_inside_the_warm_up(self, shape):
+        # the last allowed sweep runs in the plain loop, which reports its
+        # residuals as the plain solve does
+        X = shaped_input(shape)
+        opts = solver.SolverOptions(lam=0.7, max_iters=20)
+        fast = solver.solve_lrr_self(X, "l21", opts)
+        plain = plain_self_l21(X, opts)
+        assert fast.warm_sweeps == 19 and not fast.converged
+        assert_same_solve(fast, plain, X)
+        assert fast.final_residuals == pytest.approx(plain.final_residuals, rel=1e-12)
+
+    @pytest.mark.parametrize("knob, lo, hi, lam", [("lam", 0.2, 1.0, None),
+                                                    ("eps", 1e-9, 1e-4, 1e3)])
+    def test_handoff_on_the_threshold(self, knob, lo, hi, lam):
+        # The fast-forwarded sweeps do not depend on lam (E stays zero) and
+        # stop at a test on lam / mu or on eps, so bisection finds two
+        # adjacent floats of the knob on either side of a change in the
+        # handoff sweep: each is as close to the threshold as it can be.
+        X = shaped_input("tall")
+
+        def opts(value):
+            kwargs = {knob: value} if lam is None else {knob: value, "lam": lam}
+            return solver.SolverOptions(**kwargs)
+
+        def warm(value):
+            return solver.solve_lrr_self(X, "l21", opts(value)).warm_sweeps
+
+        w_lo, w_hi = warm(lo), warm(hi)
+        assert w_lo != w_hi
+        while np.nextafter(lo, hi) != hi:
+            mid = (lo + hi) / 2
+            if warm(mid) == w_lo:
+                lo = mid
+            else:
+                hi = mid
+        for value in (lo, hi):
+            fast = solver.solve_lrr_self(X, "l21", opts(value))
+            assert_same_solve(fast, plain_self_l21(X, opts(value)), X)
+
+    def test_warm_sweeps_only_on_the_self_l21_path(self):
+        X = shaped_input("rank_deficient")
+        opts = solver.SolverOptions(lam=0.7)
+        assert solver.solve_lrr_self(X, "l21", opts).warm_sweeps > 100
+        for sol in (solver.solve_lrr_self(X, "l1", opts),
+                    solver.solve_lrr_self(X, "frobenius_sq", opts),
+                    solver.solve_lrr(X, X, "l21", opts),
+                    solver.solve_lrr_reduced(X, X, "l21", opts)):
+            assert sol.warm_sweeps == 0
+
+    def test_overflow_raises_before_the_warm_up(self, monkeypatch):
+        # I + S^2 overflows at this scale: the Z-step set-up names it
+        # before any fast-forward arithmetic could warn
+        def unreachable(*args):
+            raise AssertionError("the fast-forward ran on overflowing data")
+
+        monkeypatch.setattr(solver, "_fast_forward", unreachable)
+        with pytest.raises(NumericalError, match="overflows"):
+            solver.solve_lrr_self(shaped_input("tall") * 1e160, "l21",
+                                  solver.SolverOptions(lam=0.5))
 
 
 class TestFrobeniusClosedForm:
