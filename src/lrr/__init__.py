@@ -21,7 +21,6 @@ from .linalg import (
 from .solver import (
     ERROR_MODELS,
     LrrSolution,
-    ReducedDictionary,
     SolverOptions,
     lambda_outlier_default,
     reduce_dictionary,

@@ -105,11 +105,10 @@ def skinny_svd(M, rank_tol=None):
     U = U[:, :r].copy()
     s = s[:r].copy()
     V = Vt[:r].T.copy()
-    for j in range(r):
-        nz = np.flatnonzero(U[:, j])
-        if nz.size and U[nz[0], j] < 0:
-            U[:, j] = -U[:, j]
-            V[:, j] = -V[:, j]
+    # negate the columns whose first nonzero entry of U is negative
+    flip = U[np.argmax(U != 0, axis=0), np.arange(r)] < 0
+    U[:, flip] *= -1.0
+    V[:, flip] *= -1.0
     return SkinnySvd(U, s, V)
 
 

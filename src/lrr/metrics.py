@@ -41,16 +41,17 @@ def segmentation_accuracy(predicted, truth, strategy="auto"):
     ``global`` finds the best one-to-one matching of cluster ids to class
     ids (linear assignment on the confusion matrix). ``local`` gives each
     cluster the class contributing most of its members; two clusters may
-    collide on a label. ``auto`` uses global while the largest cluster id
-    is below 9 (fewer than 10 ids from 0) and local otherwise. Ids may be
-    any nonnegative integers; only the ids in use are counted.
+    collide on a label. ``auto`` uses global when fewer than 10 clusters
+    are in use and local otherwise, so it depends on the clusters alone,
+    not on the ids that name them. Ids may be any nonnegative integers;
+    only the ids in use are counted.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
     p, t = _check_labels(predicted, truth)
     C = _confusion(p, t)
     if strategy == "auto":
-        strategy = "global" if p.max() < 9 else "local"
+        strategy = "global" if C.shape[0] < 10 else "local"
     m = p.size
     if strategy == "local":
         return float(C.max(axis=1).sum() / m)

@@ -13,6 +13,14 @@ self-expressive mode (dictionary = data), always solved in the coordinates of
 the skinny SVD of X, where the minimizer lives. There the squared-Frobenius
 model needs no iteration: its minimizer is a closed form in that SVD.
 :func:`solve_lrr` keeps all three models for general dictionaries.
+
+Every factored solve works in one SVD frame. :func:`reduce_dictionary`
+returns the skinny SVD ``A = U S V^T``, and :func:`solve_lrr_reduced` (and
+with it the ``l1`` self solve) runs on the reduced dictionary ``U S``, the
+``l21`` self solve on ``diag(S)``. Both have ``A^T A = S^2``, so their Z-step
+is a row scaling, set up by :func:`_z_step` from the ``S`` that the caller
+passes. Only a direct :func:`solve_lrr` on a dictionary that is not square
+diagonal factors ``I + A^T A`` and loads ``scipy.linalg``.
 """
 
 import math
@@ -102,50 +110,47 @@ class LrrSolution:
     warm_sweeps: int = 0
 
 
-@dataclass(frozen=True)
-class ReducedDictionary:
-    """Orthogonalized dictionary: ``P_star`` spans the rows of ``A`` and
-    ``B = A @ P_star`` has full column rank ``r_A``."""
-
-    B: np.ndarray
-    P_star: np.ndarray
-    r_A: int
-
-
-def _z_step(A):
+def _z_step(A, s=None):
     """Operators ``(M -> A M, M -> A^T M, R -> (I + A^T A)^{-1} R)`` for the
     Z-step, set up once per solve. Each is called as ``op(M, out)`` and
     writes its result into ``out``, an array of the result's shape that
     must not be ``M`` or share memory with it (or with ``A``).
 
-    A square diagonal ``A = diag(s)`` (the self-expressive path) needs no
-    factorization: all three are row scalings, ``np.multiply`` and
-    ``np.divide`` with ``out=``. Any other dictionary has ``I + A^T A``
-    factored by Cholesky and inverted once, so that each sweep costs
-    ``np.matmul(..., out=)`` products with ``A``, ``A^T`` and the inverse and
-    stays on NumPy's BLAS. ``A^T A`` overflows for entries near 1e154 and
-    beyond. ``scipy.linalg`` is first loaded here, for a general dictionary.
+    The caller states the Gram structure; nothing here guesses it. Given
+    ``s``, ``A^T A = diag(s^2)``: ``A = U diag(s)`` with orthonormal
+    columns in ``U`` (the SVD frame of the reduced and ``l1`` self solves),
+    or ``A = diag(s)`` itself, passed as ``A=None`` (the ``l21`` self
+    solve). The inverse is then the row scaling by ``1 / (1 + s^2)``, and
+    for ``diag(s)`` both products are row scalings too: ``np.multiply`` and
+    ``np.divide`` with ``out=``, nothing factored. With ``s`` None,
+    ``I + A^T A`` is factored by Cholesky and inverted once, so that each
+    sweep costs ``np.matmul(..., out=)`` products with ``A``, ``A^T`` and
+    the inverse and stays on NumPy's BLAS; ``scipy.linalg`` is first loaded
+    here, for that case only. ``A^T A`` overflows for entries near 1e154
+    and beyond, which raises ``NumericalError``.
     """
-    n_a = A.shape[1]
-    s = np.diag(A)[:, None]
-    diagonal = A.shape[0] == n_a and np.array_equal(A, np.diagflat(s))
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = 1.0 + s * s if diagonal else np.eye(n_a) + A.T @ A
+        if s is None:
+            gram = np.eye(A.shape[1]) + A.T @ A
+        else:
+            s = s[:, None]
+            gram = 1.0 + s * s
+    n_a = gram.shape[0]
     if not np.isfinite(gram).all():
         raise NumericalError(f"I + A^T A overflows ({n_a}x{n_a}); rescale the data")
-    if diagonal:
-        def scale(M, out):
-            return np.multiply(s, M, out=out)
-
-        return scale, scale, (lambda R, out: np.divide(R, gram, out=out))
+    if A is None:
+        products = ((lambda M, out: np.multiply(s, M, out=out)),) * 2
+    else:
+        products = ((lambda M, out: np.matmul(A, M, out=out)),
+                    (lambda M, out: np.matmul(A.T, M, out=out)))
+    if s is not None:
+        return (*products, lambda R, out: np.divide(R, gram, out=out))
     try:
         chol = scipy.linalg.cho_factor(gram)
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(f"factorization of I + A^T A failed ({n_a}x{n_a})") from exc
     inverse = scipy.linalg.cho_solve(chol, np.eye(n_a))
-    return ((lambda M, out: np.matmul(A, M, out=out)),
-            (lambda M, out: np.matmul(A.T, M, out=out)),
-            (lambda R, out: np.matmul(inverse, R, out=out)))
+    return (*products, lambda R, out: np.matmul(inverse, R, out=out))
 
 
 def _check_args(model, opts):
@@ -153,6 +158,16 @@ def _check_args(model, opts):
         raise ValueError("opts is required (lam has no universal default)")
     if model not in ERROR_MODELS:
         raise ValueError(f"unknown error model {model!r}; expected one of {ERROR_MODELS}")
+
+
+def _check_problem(X, A, model, opts):
+    """``X`` and ``A`` as matrices, once the solve's arguments check out."""
+    X = as_matrix(X, "X")
+    A = as_matrix(A, "A")
+    _check_args(model, opts)
+    if A.shape[0] != X.shape[0]:
+        raise ValueError(f"X has {X.shape[0]} rows but dictionary A has {A.shape[0]}")
+    return X, A
 
 
 @dataclass
@@ -173,6 +188,14 @@ class _AdmState:
     mu_trace: list = field(default_factory=list)
 
 
+def _zero_state(X, n_a, opts):
+    """The state before the first sweep of a solve on ``X`` with a
+    dictionary of ``n_a`` columns."""
+    d, n = X.shape
+    return _AdmState(Z=np.zeros((n_a, n)), E=np.zeros((d, n)), Y1=np.zeros((d, n)),
+                     Y2=np.zeros((n_a, n)), mu=opts.mu_init)
+
+
 def solve_lrr(X, A, model="l21", opts=None):
     """Alternating-direction solve of the representation problem on (X, A).
 
@@ -185,24 +208,19 @@ def solve_lrr(X, A, model="l21", opts=None):
 
     This function checks the inputs and sets up the Z-step; the sweeps run
     in :func:`_run_adm`, started here from the zero state. The Z-step takes
-    one of two forms, chosen from ``A`` itself: a square diagonal
-    dictionary ``diag(s)`` makes it a row scaling by ``1 / (1 + s^2)`` with
-    no factorization, and any other dictionary applies
-    ``(I + A^T A)^{-1}``, formed once from a Cholesky factor, with one
-    matrix product per sweep. Both give the same iterates to roundoff.
+    one of two forms, and this is the one place that reads it from ``A``
+    itself: a square diagonal dictionary ``diag(s)`` makes it a row scaling
+    by ``1 / (1 + s^2)`` with no factorization, and any other dictionary
+    applies ``(I + A^T A)^{-1}``, formed once from a Cholesky factor, with
+    one matrix product per sweep. Both give the same iterates to roundoff.
     ``X`` and ``A`` are never written, and the returned ``Z`` and ``E``
     share no memory with them or with each other.
     """
-    X = as_matrix(X, "X")
-    A = as_matrix(A, "A")
-    _check_args(model, opts)
-    d, n = X.shape
-    if A.shape[0] != d:
-        raise ValueError(f"X has {d} rows but dictionary A has {A.shape[0]}")
-    n_a = A.shape[1]
-    state = _AdmState(Z=np.zeros((n_a, n)), E=np.zeros((d, n)), Y1=np.zeros((d, n)),
-                      Y2=np.zeros((n_a, n)), mu=opts.mu_init)
-    return _run_adm(X, _z_step(A), model, opts, state)
+    X, A = _check_problem(X, A, model, opts)
+    s = np.diag(A)
+    diagonal = A.shape[0] == A.shape[1] and np.array_equal(A, np.diag(s))
+    ops = _z_step(None, s) if diagonal else _z_step(A)
+    return _run_adm(X, ops, model, opts, _zero_state(X, A.shape[1], opts))
 
 
 def _run_adm(X, ops, model, opts, state):
@@ -426,34 +444,38 @@ def solve_lrr_clean(X, A):
 
 
 def reduce_dictionary(A):
-    """Orthogonalize the rows of ``A``: returns ``P_star`` (orthonormal basis
-    of span(A^T)) and ``B = A @ P_star``.
+    """The skinny SVD ``A = U S V^T`` of a nonzero dictionary, the frame of
+    every reduced solve: ``V`` (``f.V``) is an orthonormal basis of
+    span(A^T), and the reduced dictionary ``A V = U S`` (``f.U * f.sigma``)
+    has ``f.rank`` orthogonal columns, so ``(A V)^T (A V) = S^2``.
 
-    Any solution of the reduced problem on (X, B) maps back through
-    ``P_star`` to the solution on (X, A), cutting the per-iteration cost from
-    the number of dictionary columns down to its rank.
+    Any solution ``Z'`` of the reduced problem on (X, U S) maps back to
+    ``Z = V Z'`` on (X, A), cutting the per-iteration cost from the number
+    of dictionary columns down to its rank. Raises
+    ``DegenerateInputError`` on the zero dictionary.
     """
     A = as_matrix(A, "A")
     if not A.any():
         raise DegenerateInputError("cannot reduce the zero dictionary")
-    f = skinny_svd(A)
-    P = f.V
-    return ReducedDictionary(B=A @ P, P_star=P, r_A=f.rank)
+    return skinny_svd(A)
 
 
 def solve_lrr_reduced(X, A, model="l21", opts=None):
-    """Solve on the reduced dictionary ``A P_star`` of :func:`reduce_dictionary`
-    and map the representation back.
+    """Solve on the reduced dictionary ``U S`` of :func:`reduce_dictionary`
+    and map the representation back through ``V``.
 
+    The ADM runs on (X, U S) from the zero state. ``(U S)^T (U S) = S^2``
+    is diagonal, so its Z-step is the row scaling by ``1 / (1 + S^2)``:
+    nothing is factored or inverted, and ``scipy.linalg`` is not loaded.
     Equivalent to ``solve_lrr(X, A, ...)`` up to solver tolerance; the
     nuclear norm is invariant under the orthonormal back-map, so the
     objective carries over. The feasibility residual is recomputed against
     the original dictionary.
     """
-    X = as_matrix(X, "X")
-    A = as_matrix(A, "A")
-    rd = reduce_dictionary(A)
-    return _lift(X, A, rd.P_star, solve_lrr(X, rd.B, model, opts))
+    X, A = _check_problem(X, A, model, opts)
+    f = reduce_dictionary(A)
+    ops = _z_step(f.U * f.sigma, f.sigma)
+    return _lift(X, A, f.V, _run_adm(X, ops, model, opts, _zero_state(X, f.rank, opts)))
 
 
 def _lift(X, A, V, sol, U=None):
@@ -501,11 +523,12 @@ def solve_lrr_self(X, model="l21", opts=None):
 
     The minimizer lies in the row space of X, so with ``X = U S V^T`` the
     problem is solved exactly for ``Z = V Z'``. ``l1``, which is not
-    rotation-invariant, is :func:`solve_lrr_reduced` on ``(X, X)``: one
-    :func:`solve_lrr` on ``X`` with the dictionary ``X V``. The other two
-    models have self-only shortcuts. ``frobenius_sq`` has a closed form in
-    that SVD and runs no ADM: the result has ``iterations=0``,
-    ``converged=True``, empty traces and ``final_residuals[1] = 0``. For
+    rotation-invariant, is :func:`solve_lrr_reduced` on ``(X, X)``: one ADM
+    on ``X`` with the dictionary ``X V = U S`` and a row-scaling Z-step.
+    The other two models have self-only shortcuts. ``frobenius_sq`` has a
+    closed form in that SVD and runs no ADM: the result has
+    ``iterations=0``, ``converged=True``, empty traces and
+    ``final_residuals[1] = 0``. For
     ``l21`` every iterate of E also stays in span(U) and the penalty is
     invariant under U, so the ambient rows drop out too: the ADM runs on
     ``S V^T`` with dictionary ``diag(S)`` from the zero state and
@@ -528,7 +551,7 @@ def solve_lrr_self(X, model="l21", opts=None):
         return _frobenius_self(X, f, opts)
     Vt = f.V.T
     # set up first: an overflowing I + S^2 raises before the fast-forward
-    ops = _z_step(np.diag(f.sigma))
+    ops = _z_step(None, f.sigma)
     state = _fast_forward(f.sigma, Vt, opts)
     warm_sweeps = state.iterations
     sol = _run_adm(f.sigma[:, None] * Vt, ops, model, opts, state)

@@ -336,6 +336,12 @@ def test_c11_reduction_over_generated_inputs(model, case, lam):
     assert reduced.objective == pytest.approx(direct.objective, rel=1e-6)
     for sol in (direct, reduced):
         assert np.abs(X - A @ sol.Z - sol.E).max() <= 1e-7
+    # the same reduced problem through the Cholesky Z-step: the row-scaling
+    # Z-step of the reduced solve changes only its rounding
+    f = solver.reduce_dictionary(A)
+    cholesky = solver._lift(X, A, f.V, solver.solve_lrr(X, f.U * f.sigma, model, opts))
+    assert (reduced.iterations, reduced.converged) == (cholesky.iterations, cholesky.converged)
+    assert reduced.objective == pytest.approx(cholesky.objective, rel=1e-12)
 
 
 def test_c12_metric_oracles():

@@ -60,6 +60,13 @@ class TestSegmentationAccuracy:
         local = metrics.segmentation_accuracy(pred, truth, "local")
         assert auto == local
 
+    def test_auto_counts_clusters_not_ids(self):
+        # two clusters either way: auto matches globally, so only one of
+        # them can take the single class, whatever id names the second
+        truth = np.array([0, 0, 0, 0])
+        for pred in ([0, 0, 1, 1], [0, 0, 9, 9]):
+            assert metrics.segmentation_accuracy(np.array(pred), truth, "auto") == 0.5
+
     def test_global_few_clusters_many_classes(self):
         # 7 clusters against 12 classes: 12!/5! injections to enumerate
         truth = np.repeat(np.arange(12), 10)
@@ -73,9 +80,7 @@ class TestSegmentationAccuracy:
         expected = metrics.segmentation_accuracy(pred, truth, strategy)
         shift = 10**12
         assert metrics.segmentation_accuracy(pred, truth + shift, strategy) == expected
-        if strategy != "auto":  # auto reads the largest predicted id
-            assert metrics.segmentation_accuracy(pred + shift, truth + shift,
-                                                 strategy) == expected
+        assert metrics.segmentation_accuracy(pred + shift, truth + shift, strategy) == expected
 
     @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @hypothesis.given(st.data())

@@ -258,9 +258,11 @@ class TestInPlaceSweep:
             "from lrr import solver\n"
             "X = np.random.default_rng(0).standard_normal((8, 12))\n"
             "opts = solver.SolverOptions(lam=0.5)\n"
-            "solver.solve_lrr_self(X, 'l21', opts)\n"
-            "assert 'scipy.linalg' not in sys.modules\n"
             "A = np.random.default_rng(1).standard_normal((8, 10))\n"
+            "for model in solver.ERROR_MODELS:\n"
+            "    solver.solve_lrr_self(X, model, opts)\n"
+            "assert solver.solve_lrr_reduced(X, A, 'l21', opts).converged\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
             "assert solver.solve_lrr(X, A, 'l21', opts).converged\n"
             "assert 'scipy.linalg' in sys.modules\n"
         )
@@ -625,19 +627,19 @@ class TestFrobeniusClosedForm:
 class TestReduceDictionary:
     def test_orthonormal_rows(self):
         A = np.linalg.qr(rand((9, 4), 60))[0].T  # 4x9, orthonormal rows
-        rd = solver.reduce_dictionary(A)
-        assert rd.r_A == 4
-        # P* spans the rows of A
-        np.testing.assert_allclose(rd.P_star.T @ rd.P_star, np.eye(4), atol=1e-10)
-        np.testing.assert_allclose(rd.P_star @ (rd.P_star.T @ A.T), A.T, atol=1e-10)
-        # B = A P* then has orthonormal columns
-        np.testing.assert_allclose(rd.B.T @ rd.B, np.eye(4), atol=1e-10)
+        f = solver.reduce_dictionary(A)
+        assert f.rank == 4
+        # V spans the rows of A
+        np.testing.assert_allclose(f.V.T @ f.V, np.eye(4), atol=1e-10)
+        np.testing.assert_allclose(f.V @ (f.V.T @ A.T), A.T, atol=1e-10)
+        # the reduced dictionary U S = A V then has orthonormal columns
+        np.testing.assert_allclose((f.U * f.sigma).T @ (f.U * f.sigma), np.eye(4), atol=1e-10)
 
     def test_rank_one_ones(self):
-        rd = solver.reduce_dictionary(np.ones((4, 6)))
-        assert rd.r_A == 1
-        assert rd.B.shape == (4, 1)
-        np.testing.assert_allclose(rd.B, np.ones((4, 6)) @ rd.P_star, atol=1e-10)
+        f = solver.reduce_dictionary(np.ones((4, 6)))
+        assert f.rank == 1
+        assert (f.U * f.sigma).shape == (4, 1)
+        np.testing.assert_allclose(f.U * f.sigma, np.ones((4, 6)) @ f.V, atol=1e-10)
 
     def test_zero_dictionary_rejected(self):
         with pytest.raises(DegenerateInputError):
