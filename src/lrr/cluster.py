@@ -60,9 +60,14 @@ def build_affinity(Z_star):
     entry nonnegative, and the entries lie in [0, 1]. W is exactly symmetric
     by construction. A zero input yields the zero matrix.
     """
-    Z = as_matrix(Z_star, "Z_star")
-    n = Z.shape[0]
-    f = skinny_svd(Z, SOLUTION_RANK_TOL)
+    return _affinity(skinny_svd(as_matrix(Z_star, "Z_star"), SOLUTION_RANK_TOL))
+
+
+def _affinity(f):
+    """:func:`build_affinity` from the factor ``f = skinny_svd(Z_star,
+    SOLUTION_RANK_TOL)``, for callers that factor ``Z_star`` once for
+    several uses."""
+    n = f.U.shape[0]
     if f.rank == 0:
         return np.zeros((n, n))
     U = f.U * np.sqrt(f.sigma)
@@ -82,7 +87,9 @@ def _as_affinity_array(W):
 
 
 def _normalized_laplacian(W):
-    W = _as_affinity_array(W)
+    """``I - D^{-1/2} W D^{-1/2}`` of an affinity array that
+    :func:`_as_affinity_array` has checked, and the mask of samples with
+    positive degree."""
     deg = W.sum(axis=1)
     inv_sqrt = np.zeros_like(deg)
     pos = deg > 0
@@ -100,7 +107,7 @@ def laplacian_spectrum(W):
     absolute value. For an affinity with entries in [0, 1] every value lies
     in [0, 2] up to roundoff.
     """
-    L, _ = _normalized_laplacian(W)
+    L, _ = _normalized_laplacian(_as_affinity_array(W))
     return np.sort(np.abs(np.linalg.eigvalsh(L)))
 
 

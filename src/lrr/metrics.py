@@ -106,7 +106,13 @@ def recovery_error(Z_star, V0):
     gram = V0.T @ V0
     if not np.allclose(gram, np.eye(V0.shape[1]), atol=1e-6):
         raise ValueError("V0 must have orthonormal columns")
-    f = skinny_svd(Z_star, SOLUTION_RANK_TOL)
+    return _recovery_error(skinny_svd(Z_star, SOLUTION_RANK_TOL), V0)
+
+
+def _recovery_error(f, V0):
+    """:func:`recovery_error` from the factor ``f = skinny_svd(Z_star,
+    SOLUTION_RANK_TOL)`` and a checked ``V0``, for callers that factor
+    ``Z_star`` once for several uses."""
     P = f.U @ f.U.T
     Q = V0 @ V0.T
     return float(np.linalg.norm(P - Q) / np.linalg.norm(Q))

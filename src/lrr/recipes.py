@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cluster, metrics, solver, synth
+from .linalg import skinny_svd
 
 # Reference parameter sets. fig4's lambda grid spans the window where
 # outliers are identified exactly; fig6's noise/corruption/outlier split is
@@ -38,6 +39,13 @@ class ReplicationOutput:
 
 def _subseeds(seed, n):
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n)]
+
+
+def _factor(Z):
+    """The factor of ``Z`` that :func:`metrics.recovery_error` and
+    :func:`cluster.build_affinity` each take; a recipe takes it once and
+    hands it to both."""
+    return skinny_svd(Z, solver.SOLUTION_RANK_TOL)
 
 
 def _outlier_gap(E, dataset):
@@ -123,7 +131,8 @@ def replicate_fig4(seed=0):
     per_lambda = {}
     for lam in FIG4_LAMBDAS:
         sol = solver.solve_lrr_self(ds.X, "l21", solver.SolverOptions(lam=lam))
-        rec = metrics.recovery_error(sol.Z, ds.V0)
+        f = _factor(sol.Z)
+        rec = metrics._recovery_error(f, ds.V0)
         max_clean, min_out, detected = _outlier_gap(sol.E, ds)
         supports_exact = detected is not None and np.array_equal(
             detected, ds.outlier_indices
@@ -140,7 +149,7 @@ def replicate_fig4(seed=0):
             "converged": bool(sol.converged),
         }
         if lam == 0.25:
-            rep_sol = sol
+            rep_sol, rep_f = sol, f
     scores = np.linalg.norm(rep_sol.E, axis=0)
     truth = np.zeros(ds.n, dtype=bool)
     truth[ds.outlier_indices] = True
@@ -157,7 +166,7 @@ def replicate_fig4(seed=0):
         tables={
             "lambda_sweep": np.asarray(rows),
             "error_column_norms": scores.reshape(1, -1),
-            "affinity": cluster.build_affinity(rep_sol.Z),
+            "affinity": cluster._affinity(rep_f),
         },
         outliers=ds.outlier_indices,
         dataset=ds,
@@ -167,6 +176,7 @@ def replicate_fig4(seed=0):
 def _replicate_fig5(figure, seed, corrupt_scale):
     ds = make_fig5_dataset(seed, corrupt_scale)
     sol = solver.solve_lrr_self(ds.X, "l21", solver.SolverOptions(lam=FIG5_LAMBDA))
+    f = _factor(sol.Z)
     norms = np.linalg.norm(sol.E, axis=0)
     truth = np.zeros(ds.n, dtype=bool)
     truth[ds.corrupted_indices] = True
@@ -187,12 +197,12 @@ def _replicate_fig5(figure, seed, corrupt_scale):
             "supports_exact": bool(supports_exact),
             "n_detected": int(detected.size),
             "n_corrupted": int(ds.corrupted_indices.size),
-            "recovery_error": metrics.recovery_error(sol.Z, ds.V0),
+            "recovery_error": metrics._recovery_error(f, ds.V0),
             "iterations": sol.iterations,
         },
         tables={
             "error_column_norms": norms.reshape(1, -1),
-            "affinity": cluster.build_affinity(sol.Z),
+            "affinity": cluster._affinity(f),
         },
         outliers=detected,
         dataset=ds,
@@ -214,14 +224,15 @@ def replicate_fig6(seed=0):
     authentic samples."""
     ds = make_fig6_dataset(seed)
     sol = solver.solve_lrr_self(ds.X, "l21", solver.SolverOptions(lam=FIG6_LAMBDA))
-    rec = metrics.recovery_error(sol.Z, ds.V0)
+    f = _factor(sol.Z)
+    rec = metrics._recovery_error(f, ds.V0)
     out = {
         "recovery_error": rec,
         "planted_error_ratio": ds.error_ratio,
         "iterations": sol.iterations,
         "converged": bool(sol.converged),
     }
-    W = cluster.build_affinity(sol.Z)
+    W = cluster._affinity(f)
     labels = cluster.ncut_segment(W, 10, seed=seed)
     auth = ds.authentic_indices()
     out["segmentation_accuracy_authentic"] = metrics.segmentation_accuracy(

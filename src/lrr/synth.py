@@ -12,9 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, skinny_svd
+from .linalg import _EPS, as_matrix, skinny_svd
 
 MODES = ("independent", "disjoint")
+# The sketch of V0: a fixed-seed Gaussian test matrix of this many columns,
+# trusted only when the rank it finds leaves at least this many spare.
+_SKETCH_WIDTH = 64
+_SKETCH_SPARE = 16
 
 
 @dataclass(frozen=True)
@@ -43,7 +47,9 @@ class SyntheticDataset:
     first read and cached. ``true_labels`` holds the subspace index per
     column, -1 for outliers. Columns of X0 at ``outlier_indices`` are
     exactly zero. ``V0`` is an orthonormal basis of the row space of X0,
-    also computed on first read.
+    also computed on first read: the ``V`` of ``skinny_svd(X0)``, up to
+    roundoff and the choice of basis, with the same rank (see
+    :func:`_row_space_basis`).
     """
 
     X0: np.ndarray
@@ -58,7 +64,7 @@ class SyntheticDataset:
 
     @functools.cached_property
     def V0(self):
-        return skinny_svd(self.X0).V
+        return _row_space_basis(self.X0)
 
     @property
     def n(self):
@@ -83,6 +89,42 @@ class SyntheticDataset:
 
     def authentic_indices(self):
         return np.flatnonzero(self.true_labels >= 0)
+
+
+def _row_space_basis(X0):
+    """The row basis ``V`` of ``skinny_svd(X0)``, from a sketch when one is
+    certified to keep the same singular values.
+
+    The range finder of Halko, Martinsson and Tropp (SIAM Review, 2011):
+    ``Q = orth(X0 Omega)`` for a fixed-seed Gaussian ``Omega`` of
+    ``_SKETCH_WIDTH`` columns, and ``B = Q^T X0``. With ``delta = ||X0 - Q
+    B||_F`` plus the rounding of the SVD of ``B`` (``w eps sigma_1(B)`` for
+    its ``w`` rows), Weyl's inequality puts every ``sigma_i(X0)`` within
+    ``delta`` of ``sigma_i(B)``, zero past the ``w``-th. The sketch answers
+    with the ``V`` of ``B`` only if the kept ``r`` values of ``B`` stay above
+    ``skinny_svd``'s cut ``max(d, n) eps sigma_1`` and the rest stay below it
+    across that interval, and if ``r`` leaves ``_SKETCH_SPARE`` columns of
+    ``Omega`` spare. Otherwise, and for matrices too small to sketch, the
+    dense ``skinny_svd(X0).V`` answers. Either way the projector ``V V^T``
+    agrees with the dense one to roundoff.
+    """
+    d, n = X0.shape
+    if min(d, n) <= _SKETCH_WIDTH:
+        return skinny_svd(X0).V
+    omega = np.random.default_rng(0).standard_normal((n, _SKETCH_WIDTH))
+    Q = np.linalg.qr(X0 @ omega)[0]
+    B = Q.T @ X0
+    f = skinny_svd(B, 0.0)
+    cut = max(d, n) * _EPS
+    r = int(np.count_nonzero(f.sigma > cut * f.sigma[0])) if f.rank else 0
+    if 0 < r <= _SKETCH_WIDTH - _SKETCH_SPARE:
+        top = f.sigma[0]
+        below = f.sigma[r] if r < f.rank else 0.0
+        delta = np.linalg.norm(X0 - Q @ B) + _SKETCH_WIDTH * _EPS * top
+        if (f.sigma[r - 1] - delta > cut * (top + delta)
+                and below + delta < cut * (top - delta)):
+            return f.V[:, :r].copy()
+    return skinny_svd(X0).V
 
 
 def gen_ensemble(k, dim, ambient, mode="disjoint", seed=0):

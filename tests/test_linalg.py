@@ -485,6 +485,31 @@ class TestSvt:
         assert np.abs(J - J_ref).max() <= 1e-12
         assert nuclear == pytest.approx(nuclear_ref, abs=1e-12)
 
+    def test_saturated_block_falls_back_after_one_check(self, monkeypatch):
+        # 20 singular values in [2, 4] over a 1e-3 tail with theta = 1, and a
+        # basis of the leading 4: every Ritz value of the 12-column block
+        # exceeds theta^2, so the block cannot show where the kept values
+        # end; one block check, then the 100x100 eigh answers
+        rng = np.random.default_rng(89)
+        U = np.linalg.qr(rng.standard_normal((120, 100)))[0]
+        V = np.linalg.qr(rng.standard_normal((100, 100)))[0]
+        s = np.concatenate([np.linspace(4.0, 2.0, 20), 1e-3 * rng.uniform(0.0, 1.0, 80)])
+        M = (U * s) @ V.T
+        shapes = []
+        real_eigh = np.linalg.eigh
+
+        def recorded_eigh(G):
+            shapes.append(G.shape)
+            return real_eigh(G)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
+        J, nuclear, kept = linalg.svt_with_nuclear(M, 1.0, V[:, :4])
+        assert shapes == [(12, 12), (100, 100)]
+        assert kept.shape == (100, 20)
+        J_ref, nuclear_ref = oracles.svt_by_full_svd(M, 1.0)
+        assert np.abs(J - J_ref).max() <= 1e-12 * 4.0
+        assert nuclear == pytest.approx(nuclear_ref, abs=1e-12 * 4.0)
+
     def test_cholesky_certifies_zero_without_eigh(self, monkeypatch):
         # sigma_max = 1 < theta = 1.5 < ||I_40||_F: with no basis the
         # candidate is zero, and the Cholesky certificate proves it

@@ -4,7 +4,7 @@ combined; the per-criterion gates live in test_acceptance.py."""
 import numpy as np
 import pytest
 
-from lrr import linalg, metrics, recipes, solver
+from lrr import cluster, linalg, metrics, recipes, solver
 
 
 def test_fig3_accuracy_gate():
@@ -51,13 +51,38 @@ def test_fig5b_heavy_corruption_identified():
     assert out.metrics["supports_exact"]
 
 
-def test_fig6_recovery_and_segmentation():
-    out = recipes.replicate_fig6(seed=0)
+@pytest.fixture(scope="module")
+def fig6_run():
+    """``replicate_fig6(0)`` and the solution of its one solve."""
+    sols = []
+    real = solver.solve_lrr_self
+
+    def recorded(*args, **kwargs):
+        sols.append(real(*args, **kwargs))
+        return sols[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "solve_lrr_self", recorded)
+        out = recipes.replicate_fig6(seed=0)
+    assert len(sols) == 1
+    return out, sols[0]
+
+
+def test_fig6_recovery_and_segmentation(fig6_run):
+    out, _ = fig6_run
     m = out.metrics
     assert 0.10 <= m["recovery_error"] <= 0.25
     assert abs(m["planted_error_ratio"] - 0.63) <= 0.07
     assert m["segmentation_accuracy_authentic"] >= 0.85
     assert out.tables["error_column_norms"].shape == (1, 500)
+
+
+def test_fig6_factor_of_z_matches_public_functions(fig6_run):
+    # the recipe factors Z once for both uses; the public functions factor
+    # it each time, with the same bits
+    out, sol = fig6_run
+    assert out.metrics["recovery_error"] == metrics.recovery_error(sol.Z, out.dataset.V0)
+    assert np.array_equal(out.tables["affinity"], cluster.build_affinity(sol.Z))
 
 
 def test_unknown_figure():

@@ -1,7 +1,9 @@
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from lrr import synth
+from lrr import linalg, recipes, synth
 
 
 def dataset(seed=0, k=3, dim=2, ambient=30, per=5, mode="independent"):
@@ -182,3 +184,66 @@ class TestNormalizeColumns:
         r0 = np.linalg.norm(ds.E0, axis=0) / np.linalg.norm(ds.X, axis=0)
         r1 = np.linalg.norm(nds.E0, axis=0)
         np.testing.assert_allclose(r0, r1, atol=1e-12)
+
+
+def v0_with_path(X0):
+    """``V0`` of a dataset with clean part ``X0``, the dense
+    ``skinny_svd(X0).V``, and whether the sketch answered (no SVD of X0
+    itself ran)."""
+    n = X0.shape[1]
+    empty = np.empty(0, dtype=int)
+    ds = synth.SyntheticDataset(X0, np.zeros_like(X0), np.zeros(n, dtype=int), empty, empty)
+    shapes = []
+    real = synth.skinny_svd
+
+    def recorded(M, rank_tol=None):
+        shapes.append(M.shape)
+        return real(M, rank_tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synth, "skinny_svd", recorded)
+        V0 = ds.V0
+    return V0, linalg.skinny_svd(X0).V, X0.shape not in shapes
+
+
+@st.composite
+def clean_parts(draw):
+    """``(X0, r)``: a d x n matrix of rank r with singular values in [1, 10]
+    scaled by 10^-100..10^100, sides 65..140 so that a sketch of 64
+    columns can run; r is 0 (zero X0), at most 48 (sketchable), or up to
+    full rank, past the sketch width."""
+    d = draw(st.integers(65, 140))
+    n = draw(st.integers(65, 140))
+    r = draw(st.one_of(st.just(0), st.integers(1, 48), st.integers(49, min(d, n))))
+    scale = 10.0 ** draw(st.integers(-100, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    U = np.linalg.qr(rng.standard_normal((d, r)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    return (U * rng.uniform(1.0, 10.0, r)) @ V.T * scale, r
+
+
+class TestRowSpaceBasis:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("make", [recipes.make_fig3_dataset, recipes.make_fig4_dataset,
+                                      recipes.make_fig5_dataset, recipes.make_fig6_dataset])
+    def test_recipe_datasets_match_dense_projector(self, make, seed):
+        # fig4-fig6 have rank 20 or 40 and take the sketch; fig3's 200x220
+        # X0 has full rank 200, past the sketch, and takes the dense SVD
+        X0 = make(seed).X0
+        V0, dense, sketched = v0_with_path(X0)
+        assert V0.shape == dense.shape
+        assert np.abs(V0 @ V0.T - dense @ dense.T).max() <= 1e-12
+        assert sketched == (make is not recipes.make_fig3_dataset)
+        if not sketched:
+            assert np.array_equal(V0, dense)
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(clean_parts())
+    def test_projector_and_rank_match_dense(self, case):
+        X0, r = case
+        V0, dense, sketched = v0_with_path(X0)
+        assert V0.shape == dense.shape == (X0.shape[1], r)
+        assert np.abs(V0 @ V0.T - dense @ dense.T).max() <= 1e-12
+        if r == 0 or r > synth._SKETCH_WIDTH - synth._SKETCH_SPARE:
+            # zero, saturated or full rank: the dense SVD answers
+            assert not sketched and np.array_equal(V0, dense)
