@@ -14,7 +14,8 @@ the command, fills in the rest of the record, writes the files and picks
 the exit code.
 
 Exit codes: 0 success, 2 argument or parse error, 3 numerical failure,
-4 solver hit the iteration cap (results are still written).
+4 the solve did not converge: it hit the iteration cap, or the residual it
+reports is not below eps (results are still written).
 """
 
 import argparse

@@ -9,25 +9,24 @@ where ``err`` is the column-wise l2,1 norm (sample-specific corruptions and
 outliers), the entrywise l1 norm (scattered corruptions), or the squared
 Frobenius norm (dense noise). :func:`solve_lrr_clean` is the closed-form
 pseudoinverse solution for error-free data, and :func:`solve_lrr_self` is the
-self-expressive mode (dictionary = data), always solved in the coordinates of
-the skinny SVD of X, where the minimizer lives. There the squared-Frobenius
-model needs no iteration: its minimizer is a closed form in that SVD.
-:func:`solve_lrr` keeps all three models for general dictionaries.
+self-expressive mode (dictionary = data). There the squared-Frobenius
+model needs no iteration: its minimizer is a closed form in the skinny SVD
+of X. :func:`solve_lrr` keeps all three models for general dictionaries.
 
-Every factored solve works in one SVD frame. :func:`reduce_dictionary`
-returns the skinny SVD ``A = U S V^T``, and :func:`solve_lrr_reduced` (and
-with it the ``l1`` self solve) runs on the reduced dictionary ``U S``, the
-``l21`` self solve on ``diag(S)``. Both have ``A^T A = S^2``, so their Z-step
-is a row scaling, set up by :func:`_z_step` from the ``S`` that the caller
-passes. Only a direct :func:`solve_lrr` on a dictionary that is not square
-diagonal factors ``I + A^T A`` and loads ``scipy.linalg``.
+Every solve works in one SVD frame, since the minimizer lies in span(A^T).
+:func:`reduce_dictionary` returns the skinny SVD ``A = U S V^T``;
+:func:`solve_lrr` (and with it the ``l1`` self solve) runs on the reduced
+dictionary ``U S``, the ``l21`` self solve on ``diag(S)``. Both have
+``A^T A = S^2``, so their Z-step is a row scaling, set up by
+:func:`_z_step` from the ``S`` that the caller passes: nothing is factored,
+and no solve calls ``scipy.linalg``.
 """
 
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy
+import scipy  # noqa: F401  (unused; bench/tracer.py proxies solver.scipy.linalg)
 
 from .errors import DegenerateInputError, FeasibilityError, NumericalError
 from .linalg import as_matrix, norm, pseudoinverse, skinny_svd, svt_with_nuclear
@@ -110,47 +109,35 @@ class LrrSolution:
     warm_sweeps: int = 0
 
 
-def _z_step(A, s=None):
+def _z_step(A, s):
     """Operators ``(M -> A M, M -> A^T M, R -> (I + A^T A)^{-1} R)`` for the
-    Z-step, set up once per solve. Each is called as ``op(M, out)`` and
-    writes its result into ``out``, an array of the result's shape that
-    must not be ``M`` or share memory with it (or with ``A``).
+    Z-step of a dictionary with ``A^T A = diag(s^2)``, set up once per
+    solve. Each is called as ``op(M, out)`` and writes its result into
+    ``out``, an array of the result's shape that must not be ``M`` or share
+    memory with it (or with ``A``).
 
-    The caller states the Gram structure; nothing here guesses it. Given
-    ``s``, ``A^T A = diag(s^2)``: ``A = U diag(s)`` with orthonormal
-    columns in ``U`` (the SVD frame of the reduced and ``l1`` self solves),
-    or ``A = diag(s)`` itself, passed as ``A=None`` (the ``l21`` self
-    solve). The inverse is then the row scaling by ``1 / (1 + s^2)``, and
-    for ``diag(s)`` both products are row scalings too: ``np.multiply`` and
-    ``np.divide`` with ``out=``, nothing factored. With ``s`` None,
-    ``I + A^T A`` is factored by Cholesky and inverted once, so that each
-    sweep costs ``np.matmul(..., out=)`` products with ``A``, ``A^T`` and
-    the inverse and stays on NumPy's BLAS; ``scipy.linalg`` is first loaded
-    here, for that case only. ``A^T A`` overflows for entries near 1e154
-    and beyond, which raises ``NumericalError``.
+    The caller states the Gram structure; nothing here guesses it. ``A`` is
+    ``U diag(s)`` with orthonormal columns in ``U`` (the SVD frame of
+    :func:`solve_lrr` and the ``l1`` self solve), or ``diag(s)`` itself,
+    passed as ``A=None`` (the ``l21`` self solve). The inverse is the row
+    scaling by ``1 / (1 + s^2)``, and for ``diag(s)`` both products are row
+    scalings too: ``np.multiply`` and ``np.divide`` with ``out=``, nothing
+    factored. Otherwise the products are ``np.matmul(..., out=)`` with
+    ``A`` and ``A^T``. ``s^2`` overflows for ``s`` near 1e154 and beyond,
+    which raises ``NumericalError``.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if s is None:
-            gram = np.eye(A.shape[1]) + A.T @ A
-        else:
-            s = s[:, None]
-            gram = 1.0 + s * s
-    n_a = gram.shape[0]
+    s = s[:, None]
+    with np.errstate(over="ignore"):
+        gram = 1.0 + s * s
     if not np.isfinite(gram).all():
+        n_a = gram.shape[0]
         raise NumericalError(f"I + A^T A overflows ({n_a}x{n_a}); rescale the data")
     if A is None:
         products = ((lambda M, out: np.multiply(s, M, out=out)),) * 2
     else:
         products = ((lambda M, out: np.matmul(A, M, out=out)),
                     (lambda M, out: np.matmul(A.T, M, out=out)))
-    if s is not None:
-        return (*products, lambda R, out: np.divide(R, gram, out=out))
-    try:
-        chol = scipy.linalg.cho_factor(gram)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"factorization of I + A^T A failed ({n_a}x{n_a})") from exc
-    inverse = scipy.linalg.cho_solve(chol, np.eye(n_a))
-    return (*products, lambda R, out: np.matmul(inverse, R, out=out))
+    return (*products, lambda R, out: np.divide(R, gram, out=out))
 
 
 def _check_args(model, opts):
@@ -158,16 +145,6 @@ def _check_args(model, opts):
         raise ValueError("opts is required (lam has no universal default)")
     if model not in ERROR_MODELS:
         raise ValueError(f"unknown error model {model!r}; expected one of {ERROR_MODELS}")
-
-
-def _check_problem(X, A, model, opts):
-    """``X`` and ``A`` as matrices, once the solve's arguments check out."""
-    X = as_matrix(X, "X")
-    A = as_matrix(A, "A")
-    _check_args(model, opts)
-    if A.shape[0] != X.shape[0]:
-        raise ValueError(f"X has {X.shape[0]} rows but dictionary A has {A.shape[0]}")
-    return X, A
 
 
 @dataclass
@@ -206,21 +183,36 @@ def solve_lrr(X, A, model="l21", opts=None):
     ``opts.eps`` or after ``opts.max_iters`` sweeps (``converged=False``);
     raises ``NumericalError`` as soon as either residual is not finite.
 
-    This function checks the inputs and sets up the Z-step; the sweeps run
-    in :func:`_run_adm`, started here from the zero state. The Z-step takes
-    one of two forms, and this is the one place that reads it from ``A``
-    itself: a square diagonal dictionary ``diag(s)`` makes it a row scaling
-    by ``1 / (1 + s^2)`` with no factorization, and any other dictionary
-    applies ``(I + A^T A)^{-1}``, formed once from a Cholesky factor, with
-    one matrix product per sweep. Both give the same iterates to roundoff.
-    ``X`` and ``A`` are never written, and the returned ``Z`` and ``E``
-    share no memory with them or with each other.
+    The minimizer lies in span(A^T), so the sweeps run in the frame of
+    :func:`reduce_dictionary`: :func:`_run_adm` solves on (X, U S) from the
+    zero state, where ``(U S)^T (U S) = S^2`` makes the Z-step a row
+    scaling by ``1 / (1 + S^2)``, and :func:`_lift` maps the answer back as
+    ``Z = V Z'``. The nuclear norm is invariant under that back-map, so the
+    objective carries over; the feasibility residual is measured on
+    (X, A), and ``converged`` holds only if it, too, is below ``opts.eps``.
+    The zero dictionary has the exact answer ``Z = 0``, ``E = X``, returned
+    with ``iterations=0`` and ``converged=True``. ``X`` and ``A`` are never
+    written, and the returned ``Z`` and ``E`` share no memory with them or
+    with each other.
     """
-    X, A = _check_problem(X, A, model, opts)
-    s = np.diag(A)
-    diagonal = A.shape[0] == A.shape[1] and np.array_equal(A, np.diag(s))
-    ops = _z_step(None, s) if diagonal else _z_step(A)
-    return _run_adm(X, ops, model, opts, _zero_state(X, A.shape[1], opts))
+    X = as_matrix(X, "X")
+    A = as_matrix(A, "A")
+    _check_args(model, opts)
+    if A.shape[0] != X.shape[0]:
+        raise ValueError(f"X has {X.shape[0]} rows but dictionary A has {A.shape[0]}")
+    if not A.any():
+        E = X.copy()
+        return LrrSolution(Z=np.zeros((A.shape[1], X.shape[1])), E=E, iterations=0,
+                           converged=True, final_residuals=(0.0, 0.0),
+                           objective=opts.lam * error_norm(E, model),
+                           objective_trace=np.empty(0), mu_trace=np.empty(0))
+    f = reduce_dictionary(A)
+    ops = _z_step(f.U * f.sigma, f.sigma)
+    sol = _run_adm(X, ops, model, opts, _zero_state(X, f.rank, opts))
+    return _lift(X, A, f.V, sol, opts.eps)
+
+
+solve_lrr_reduced = solve_lrr  # former name, which bench/tracer.py resolves
 
 
 def _run_adm(X, ops, model, opts, state):
@@ -232,7 +224,7 @@ def _run_adm(X, ops, model, opts, state):
     The sweep carries one piece of state besides the iterates: the right
     singular basis that the last threshold kept, handed to the next
     :func:`~lrr.linalg.svt_with_nuclear` call. There it seeds a
-    subspace-iteration candidate that a Cholesky certificate and a residual
+    subspace-iteration candidate that a certificate and a residual
     check must prove exact, so the iterates are those of a full SVD to
     roundoff and the basis only saves the Gram ``eigh`` of sweeps whose
     kept rank is small next to the matrix (``4 (k + 8) <= n``). An empty
@@ -445,7 +437,7 @@ def solve_lrr_clean(X, A):
 
 def reduce_dictionary(A):
     """The skinny SVD ``A = U S V^T`` of a nonzero dictionary, the frame of
-    every reduced solve: ``V`` (``f.V``) is an orthonormal basis of
+    :func:`solve_lrr`: ``V`` (``f.V``) is an orthonormal basis of
     span(A^T), and the reduced dictionary ``A V = U S`` (``f.U * f.sigma``)
     has ``f.rank`` orthogonal columns, so ``(A V)^T (A V) = S^2``.
 
@@ -460,32 +452,17 @@ def reduce_dictionary(A):
     return skinny_svd(A)
 
 
-def solve_lrr_reduced(X, A, model="l21", opts=None):
-    """Solve on the reduced dictionary ``U S`` of :func:`reduce_dictionary`
-    and map the representation back through ``V``.
-
-    The ADM runs on (X, U S) from the zero state. ``(U S)^T (U S) = S^2``
-    is diagonal, so its Z-step is the row scaling by ``1 / (1 + S^2)``:
-    nothing is factored or inverted, and ``scipy.linalg`` is not loaded.
-    Equivalent to ``solve_lrr(X, A, ...)`` up to solver tolerance; the
-    nuclear norm is invariant under the orthonormal back-map, so the
-    objective carries over. The feasibility residual is recomputed against
-    the original dictionary.
-    """
-    X, A = _check_problem(X, A, model, opts)
-    f = reduce_dictionary(A)
-    ops = _z_step(f.U * f.sigma, f.sigma)
-    return _lift(X, A, f.V, _run_adm(X, ops, model, opts, _zero_state(X, f.rank, opts)))
-
-
-def _lift(X, A, V, sol, U=None):
+def _lift(X, A, V, sol, eps, U=None):
     """Map a solve in reduced coordinates back to the problem on (X, A):
     ``Z = V Z'``, ``E = U E'`` (``E'`` itself when ``U`` is None), and the
-    feasibility residual ``final_residuals[0]`` measured on (X, A)."""
+    feasibility residual ``final_residuals[0]`` measured on (X, A). The
+    solve stays ``converged`` only if that residual is below ``eps``: the
+    back-map adds its own rounding, of the order of ``2^-52 max|X|``."""
     Z = V @ sol.Z
     E = sol.E if U is None else U @ sol.E
     feas = float(np.abs(X - A @ Z - E).max())
-    return replace(sol, Z=Z, E=E, final_residuals=(feas, sol.final_residuals[1]))
+    return replace(sol, Z=Z, E=E, converged=sol.converged and feas < eps,
+                   final_residuals=(feas, sol.final_residuals[1]))
 
 
 def _frobenius_self(X, f, opts):
@@ -523,8 +500,8 @@ def solve_lrr_self(X, model="l21", opts=None):
 
     The minimizer lies in the row space of X, so with ``X = U S V^T`` the
     problem is solved exactly for ``Z = V Z'``. ``l1``, which is not
-    rotation-invariant, is :func:`solve_lrr_reduced` on ``(X, X)``: one ADM
-    on ``X`` with the dictionary ``X V = U S`` and a row-scaling Z-step.
+    rotation-invariant, is :func:`solve_lrr` on ``(X, X)``: one ADM on ``X``
+    with the dictionary ``X V = U S`` and a row-scaling Z-step.
     The other two models have self-only shortcuts. ``frobenius_sq`` has a
     closed form in that SVD and runs no ADM: the result has
     ``iterations=0``, ``converged=True``, empty traces and
@@ -535,17 +512,18 @@ def solve_lrr_self(X, model="l21", opts=None):
     ``E = U E'``. Its leading sweeps, while the E-step returns zero, are
     run in closed form on vectors of length r (:func:`_fast_forward`;
     ``warm_sweeps`` counts them), and :func:`_run_adm` runs the rest from
-    there. The result is that of :func:`solve_lrr` on the same problem to
+    there. The result is that of the plain loop from the zero state to
     roundoff, with the same ``iterations``, ``converged`` and ``mu_trace``.
     On every path the feasibility residual ``final_residuals[0]`` is
-    measured on X itself.
+    measured on X itself, and an ADM solve stays ``converged`` only if it
+    is below ``opts.eps``.
     """
     X = as_matrix(X, "X")
     if not X.any():
         raise DegenerateInputError("self-expressive solve needs a nonzero matrix")
     _check_args(model, opts)
     if model == "l1":
-        return solve_lrr_reduced(X, X, model, opts)
+        return solve_lrr(X, X, model, opts)
     f = skinny_svd(X)
     if model == "frobenius_sq":
         return _frobenius_self(X, f, opts)
@@ -555,7 +533,7 @@ def solve_lrr_self(X, model="l21", opts=None):
     state = _fast_forward(f.sigma, Vt, opts)
     warm_sweeps = state.iterations
     sol = _run_adm(f.sigma[:, None] * Vt, ops, model, opts, state)
-    return _lift(X, X, f.V, replace(sol, warm_sweeps=warm_sweeps), f.U)
+    return _lift(X, X, f.V, replace(sol, warm_sweeps=warm_sweeps), opts.eps, f.U)
 
 
 def lambda_outlier_default(X, gamma_star):

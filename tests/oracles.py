@@ -215,15 +215,21 @@ def oracle_instance(seed, d=8, n=10):
     return rng.standard_normal((d, n)), rng.standard_normal((d, n))
 
 
-def adm_reference(X, A, model, opts):
-    """The ADM sweep of ``solver.solve_lrr`` as plain allocating
+def adm_reference(X, A, model, opts, s=None):
+    """The ADM sweep of ``solver.solve_lrr`` on (X, A) as plain allocating
     expressions, one fresh array per operation, as it was written before
     the sweep moved into a fixed workspace.
 
-    The in-place sweep must reproduce it bit for bit: same ``Z``, ``E``,
-    traces, residuals and iteration count. The Z-step operators and the
-    two shrinks are written out here; only the SVT, which this reference
-    does not test, is the package's own.
+    Given ``s``, the caller states ``A^T A = diag(s^2)`` (``A = U diag(s)``
+    with orthonormal columns in ``U``, the frame that ``solve_lrr`` solves
+    in), and the Z-step is the row scaling by ``1 / (1 + s^2)``; the
+    in-place sweep must then reproduce it bit for bit: same ``Z``, ``E``,
+    traces, residuals and iteration count. Without ``s``, ``I + A^T A`` is
+    factored by Cholesky and inverted once: the ADM on the full dictionary,
+    with no reduction, that the reduced solve must agree with. The Z-step
+    operators and the two shrinks are written out here; only the SVT, which
+    this reference does not test, is the package's own. ``objective`` is
+    ``||Z||_* + lam err(E)`` at the last sweep.
     """
     from lrr.linalg import svt_with_nuclear
 
@@ -231,16 +237,14 @@ def adm_reference(X, A, model, opts):
     A = np.asarray(A, dtype=np.float64)
     d, n = X.shape
     n_a = A.shape[1]
-    s = np.diag(A)[:, None]
-    if A.shape[0] == n_a and np.array_equal(A, np.diagflat(s)):
-        gram = 1.0 + s * s
-        apply_a, apply_at, z_solve = ((lambda M: s * M), (lambda M: s * M),
-                                      (lambda R: R / gram))
+    if s is not None:
+        gram = 1.0 + s[:, None] * s[:, None]
+        z_solve = (lambda R: R / gram)
     else:
         inverse = scipy.linalg.cho_solve(scipy.linalg.cho_factor(np.eye(n_a) + A.T @ A),
                                          np.eye(n_a))
-        apply_a, apply_at, z_solve = ((lambda M: A @ M), (lambda M: A.T @ M),
-                                      (lambda R: inverse @ R))
+        z_solve = (lambda R: inverse @ R)
+    apply_a, apply_at = (lambda M: A @ M), (lambda M: A.T @ M)
 
     lam = opts.lam
     mu = opts.mu_init
@@ -287,8 +291,8 @@ def adm_reference(X, A, model, opts):
             break
     return types.SimpleNamespace(
         Z=Z, E=E, iterations=iterations, converged=converged,
-        final_residuals=(r1, r2), objective_trace=np.asarray(obj_trace),
-        mu_trace=np.asarray(mu_trace))
+        final_residuals=(r1, r2), objective=full_svd_nuclear(Z) + lam * err,
+        objective_trace=np.asarray(obj_trace), mu_trace=np.asarray(mu_trace))
 
 
 def frobenius_kkt_violation(X, Z, lam, E=None, rank_tol=1e-8):

@@ -281,8 +281,9 @@ def test_c11_dictionary_reduction():
         A = rng.standard_normal((d, r)) @ rng.standard_normal((r, n_a))
         X = rng.standard_normal((d, n))
         opts = solver.SolverOptions(lam=0.5)
-        direct = solver.solve_lrr(X, A, "l21", opts)
-        reduced = solver.solve_lrr_reduced(X, A, "l21", opts)
+        # the ADM on the full dictionary, with no reduction
+        direct = oracles.adm_reference(X, A, "l21", opts)
+        reduced = solver.solve_lrr(X, A, "l21", opts)
         dev = np.linalg.norm(direct.Z - reduced.Z)
         worst = max(worst, dev)
         ok &= dev <= 1e-4
@@ -293,10 +294,10 @@ def test_c11_dictionary_reduction():
     X = rng.standard_normal((d, n))
     opts = solver.SolverOptions(lam=0.5)
     t0 = time.perf_counter()
-    solver.solve_lrr(X, A, "l21", opts)
+    oracles.adm_reference(X, A, "l21", opts)
     t_direct = time.perf_counter() - t0
     t0 = time.perf_counter()
-    solver.solve_lrr_reduced(X, A, "l21", opts)
+    solver.solve_lrr(X, A, "l21", opts)
     t_reduced = time.perf_counter() - t0
     ok &= t_reduced < t_direct
     report(11, "dictionary reduction", ok,
@@ -326,20 +327,21 @@ def reduction_cases(draw, max_side=10):
 @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @hypothesis.given(reduction_cases(), st.floats(0.2, 2.0))
 def test_c11_reduction_over_generated_inputs(model, case, lam):
-    # c11's equivalence over generated dictionaries: Z itself may differ
-    # between two converged solves, so both are held to the objective and
-    # to feasibility on the original (X, A)
+    # c11's equivalence over generated dictionaries, against the ADM on the
+    # full dictionary with no reduction: Z itself may differ between two
+    # converged solves, so both are held to the objective and to
+    # feasibility on the original (X, A)
     X, A = case
     opts = solver.SolverOptions(lam=lam)
-    direct = solver.solve_lrr(X, A, model, opts)
-    reduced = solver.solve_lrr_reduced(X, A, model, opts)
+    direct = oracles.adm_reference(X, A, model, opts)
+    reduced = solver.solve_lrr(X, A, model, opts)
     assert reduced.objective == pytest.approx(direct.objective, rel=1e-6)
     for sol in (direct, reduced):
         assert np.abs(X - A @ sol.Z - sol.E).max() <= 1e-7
-    # the same reduced problem through the Cholesky Z-step: the row-scaling
-    # Z-step of the reduced solve changes only its rounding
+    # the same reduced problem through a Cholesky Z-step: the row scaling
+    # of the reduced solve changes only its rounding
     f = solver.reduce_dictionary(A)
-    cholesky = solver._lift(X, A, f.V, solver.solve_lrr(X, f.U * f.sigma, model, opts))
+    cholesky = oracles.adm_reference(X, f.U * f.sigma, model, opts)
     assert (reduced.iterations, reduced.converged) == (cholesky.iterations, cholesky.converged)
     assert reduced.objective == pytest.approx(cholesky.objective, rel=1e-12)
 

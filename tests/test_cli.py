@@ -176,6 +176,33 @@ class TestSolveCommand:
         assert (out / "Z.csv").exists()
         assert matio.read_json(out / "result.json")["solver"]["converged"] is False
 
+    def test_unconverged_below_the_cap_exit_4(self, tmp_path):
+        # the loop stops on its own residual, but the residual on X, which
+        # carries the rounding of the back-map at this scale, is above eps
+        x_path = tmp_path / "X.csv"
+        matio.write_matrix_csv(x_path, np.random.default_rng(28).standard_normal((10, 14)) * 1e7)
+        out = tmp_path / "o"
+        code = main(["solve", "--input", str(x_path), "--self", "--lambda", "1",
+                     "--output", str(out)])
+        assert code == 4
+        record = matio.read_json(out / "result.json")["solver"]
+        assert record["converged"] is False and record["iterations"] < 1000
+        assert record["final_residuals"][0] >= 1e-8
+
+    @pytest.mark.parametrize("model", solver.ERROR_MODELS)
+    def test_zero_dictionary_exit_0(self, tmp_path, model):
+        # Z = 0 and E = X is the exact answer
+        ds, x_path, _ = write_dataset(tmp_path)
+        a_path = tmp_path / "A.csv"
+        matio.write_matrix_csv(a_path, np.zeros((ds.d, 3)))
+        out = tmp_path / "o"
+        code = main(["solve", "--input", x_path, "--dict", str(a_path), "--error-norm", model,
+                     "--lambda", "1", "--output", str(out)])
+        assert code == 0
+        Z = matio.read_matrix_csv(out / "Z.csv")
+        assert Z.shape == (3, ds.n) and not Z.any()
+        assert np.array_equal(matio.read_matrix_csv(out / "E.csv"), ds.X)
+
     def test_replay_identical_except_timing(self, tmp_path):
         _, x_path, _ = write_dataset(tmp_path)
         o1, o2 = tmp_path / "r1", tmp_path / "r2"

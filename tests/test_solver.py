@@ -10,6 +10,7 @@ import pytest
 
 import oracles
 from lrr import linalg, recipes, solver, synth
+from test_acceptance import reduction_cases
 from lrr.errors import DegenerateInputError, FeasibilityError, NumericalError
 
 
@@ -176,25 +177,29 @@ class TestSolveLrr:
         assert big > 10 * rest
 
     @pytest.mark.parametrize("model", solver.ERROR_MODELS)
-    def test_diagonal_dictionary_matches_general_z_step(self, model, monkeypatch):
-        # a zero row appended to X and to diag(s) leaves the problem as it
-        # is but makes the dictionary non-square, forcing the Cholesky form
-        X = rand((6, 9), 24)
-        D = np.diag([3.0, 2.5, 2.0, 1.5, 1.0, 0.5])
-        opts = solver.SolverOptions(lam=0.6)
-        general = solver.solve_lrr(np.vstack([X, np.zeros((1, 9))]),
-                                   np.vstack([D, np.zeros((1, 6))]), model, opts)
+    def test_zero_dictionary_is_all_error(self, model):
+        # span(A^T) = {0}: Z = 0 and E = X is the exact answer
+        X = rand((6, 5), 25)
+        opts = solver.SolverOptions(lam=0.5)
+        sol = solver.solve_lrr(X, np.zeros((6, 4)), model, opts)
+        assert sol.Z.shape == (4, 5) and not sol.Z.any()
+        assert np.array_equal(sol.E, X) and not np.shares_memory(sol.E, X)
+        assert sol.converged and sol.iterations == 0 and sol.warm_sweeps == 0
+        assert sol.final_residuals == (0.0, 0.0)
+        assert sol.objective_trace.size == 0 and sol.mu_trace.size == 0
+        assert sol.objective == pytest.approx(opts.lam * solver.error_norm(X, model), rel=1e-15)
 
-        def no_factorization(*args, **kwargs):
-            raise AssertionError("a diagonal dictionary needs no Cholesky factor")
+    @pytest.mark.parametrize("scale", [1.0, 1e2, 1e4, 1e6])
+    def test_wide_dictionary_converges_at_scale(self, scale):
+        # the ADM on the full 10x20 dictionary (oracles.adm_reference, with
+        # its Cholesky Z-step) runs 1000 sweeps without converging at 1e4
+        # and 1e6
+        X, A = rand((10, 14), 26) * scale, rand((10, 20), 27) * scale
+        sol = solver.solve_lrr(X, A, "l21", solver.SolverOptions(lam=1.0))
+        assert sol.converged and sol.iterations <= 200
 
-        monkeypatch.setattr(solver.scipy.linalg, "cho_factor", no_factorization)
-        diagonal = solver.solve_lrr(X, D, model, opts)
-        assert diagonal.converged and general.converged
-        assert np.abs(diagonal.Z - general.Z).max() < 1e-6
-        assert np.abs(diagonal.E - general.E[:-1]).max() < 1e-6
-        assert not general.E[-1].any()
-        assert diagonal.objective == pytest.approx(general.objective, rel=1e-8)
+    def test_reduced_is_the_same_function(self):
+        assert solver.solve_lrr_reduced is solver.solve_lrr
 
     def test_frobenius_model_one_sweep_matches_closed_form(self):
         X, A = rand((5, 7), 22), rand((5, 7), 23)
@@ -217,7 +222,7 @@ def _dictionary(kind, X):
         return np.diag(np.linspace(3.0, 0.5, d))
     if kind == "tall":
         return rand((d, d - 3), 31)
-    # wide, and column-major, so the products read a non-C-contiguous A
+    # wide, and column-major: the solve must not depend on A's layout
     return np.asfortranarray(rand((d, d + 8), 32))
 
 
@@ -230,12 +235,16 @@ class TestInPlaceSweep:
         A = _dictionary(kind, X)
         opts = solver.SolverOptions(lam=0.5, max_iters=max_iters)
         sol = solver.solve_lrr(X, A, model, opts)
-        ref = oracles.adm_reference(X, A, model, opts)
+        # the reference sweep in the frame that solve_lrr solves in, lifted
+        f = solver.reduce_dictionary(A)
+        ref = oracles.adm_reference(X, f.U * f.sigma, model, opts, s=f.sigma)
+        Z = f.V @ ref.Z
         assert sol.iterations == ref.iterations
         assert sol.converged == ref.converged == (max_iters == 1000)
-        for field in ("Z", "E", "objective_trace", "mu_trace"):
+        assert np.array_equal(sol.Z, Z)
+        for field in ("E", "objective_trace", "mu_trace"):
             assert np.array_equal(getattr(sol, field), getattr(ref, field)), field
-        assert sol.final_residuals == ref.final_residuals
+        assert sol.final_residuals == (np.abs(X - A @ Z - ref.E).max(), ref.final_residuals[1])
 
     @pytest.mark.parametrize("model", solver.ERROR_MODELS)
     @pytest.mark.parametrize("kind", ["diagonal", "wide"])
@@ -251,6 +260,7 @@ class TestInPlaceSweep:
                 assert not np.shares_memory(a, b)
 
     def test_import_and_self_solve_leave_scipy_linalg_unloaded(self):
+        # and so does every other solve: no Z-step factors anything
         code = (
             "import sys\n"
             "import numpy as np\n"
@@ -258,19 +268,61 @@ class TestInPlaceSweep:
             "from lrr import solver\n"
             "X = np.random.default_rng(0).standard_normal((8, 12))\n"
             "opts = solver.SolverOptions(lam=0.5)\n"
-            "A = np.random.default_rng(1).standard_normal((8, 10))\n"
             "for model in solver.ERROR_MODELS:\n"
             "    solver.solve_lrr_self(X, model, opts)\n"
-            "assert solver.solve_lrr_reduced(X, A, 'l21', opts).converged\n"
+            "    for n_a in (5, 10):\n"
+            "        A = np.random.default_rng(n_a).standard_normal((8, n_a))\n"
+            "        assert solver.solve_lrr(X, A, model, opts).converged\n"
+            "    solver.solve_lrr(X, np.zeros((8, 3)), model, opts)\n"
             "assert 'scipy.linalg' not in sys.modules\n"
-            "assert solver.solve_lrr(X, A, 'l21', opts).converged\n"
-            "assert 'scipy.linalg' in sys.modules\n"
         )
         src = os.path.dirname(os.path.dirname(solver.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+def assert_reported_residual(sol, X, A, eps):
+    """``final_residuals[0]`` is the feasibility residual of the returned
+    solution on (X, A), and ``converged`` implies that it is below eps."""
+    residual = np.abs(X - A @ sol.Z - sol.E).max()
+    assert sol.final_residuals[0] == residual
+    assert residual < eps or not sol.converged
+
+
+class TestConvergedFlag:
+    """``converged`` follows the residual that the solution reports, at
+    scales from 1e-3 to 1e8; above about 1e7 the rounding of that residual
+    reaches the absolute eps."""
+
+    @pytest.mark.parametrize("model", solver.ERROR_MODELS)
+    @hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(reduction_cases(), st.floats(-3.0, 8.0), st.floats(0.2, 2.0))
+    def test_dictionary_solves(self, model, case, scale_exp, lam):
+        X, A = (M * 10.0 ** scale_exp for M in case)
+        opts = solver.SolverOptions(lam=lam)
+        assert_reported_residual(solver.solve_lrr(X, A, model, opts), X, A, opts.eps)
+
+    @pytest.mark.parametrize("model", ["l21", "l1"])
+    @hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(self_inputs(max_side=10), st.floats(-3.0, 8.0), st.floats(0.2, 2.0))
+    def test_self_solves(self, model, X, scale_exp, lam):
+        X = X * 10.0 ** scale_exp
+        opts = solver.SolverOptions(lam=lam)
+        assert_reported_residual(solver.solve_lrr_self(X, model, opts), X, X, opts.eps)
+
+    @pytest.mark.parametrize("model", ["l21", "l1"])
+    def test_lift_rounding_clears_the_flag(self, model):
+        # the loop stops with its own residual below eps, and the residual
+        # on X, which carries the rounding of the back-map, is above it
+        X = rand((10, 14), 28) * 1e7
+        opts = solver.SolverOptions(lam=1.0)
+        sol = solver.solve_lrr_self(X, model, opts)
+        assert sol.iterations < opts.max_iters and sol.final_residuals[1] < opts.eps
+        assert not sol.converged and sol.final_residuals[0] >= opts.eps
+        assert_reported_residual(sol, X, X, opts.eps)
+
 
 class TestSolveLrrClean:
     def test_self_dictionary_gives_row_space_projector(self):
@@ -362,7 +414,7 @@ class TestSolveLrrSelf:
         # one ADM loop in the SVD coordinates of X (none for frobenius_sq,
         # which is a closed form there; l1 reaches it through one reduction
         # of X), and the feasibility residual measured on X itself
-        calls = {"_run_adm": 0, "solve_lrr_reduced": 0, "reduce_dictionary": 0}
+        calls = {"_run_adm": 0, "solve_lrr": 0, "reduce_dictionary": 0}
         for name in calls:
             real = getattr(solver, name)
 
@@ -375,7 +427,7 @@ class TestSolveLrrSelf:
         sol = solver.solve_lrr_self(X, model, solver.SolverOptions(lam=0.7))
         reduced = 1 if model == "l1" else 0
         assert calls == {"_run_adm": 0 if model == "frobenius_sq" else 1,
-                         "solve_lrr_reduced": reduced, "reduce_dictionary": reduced}
+                         "solve_lrr": reduced, "reduce_dictionary": reduced}
         assert sol.final_residuals[0] == np.abs(X - X @ sol.Z - sol.E).max()
 
     @pytest.mark.parametrize("shape", ["tall", "wide", "rank_deficient"])
@@ -383,7 +435,7 @@ class TestSolveLrrSelf:
         X = shaped_input(shape)
         opts = solver.SolverOptions(lam=0.7)
         fast = solver.solve_lrr_self(X, "l1", opts)
-        ref = solver.solve_lrr_reduced(X, X, "l1", opts)
+        ref = solver.solve_lrr(X, X, "l1", opts)
         for field in dataclasses.fields(solver.LrrSolution):
             a, b = getattr(fast, field.name), getattr(ref, field.name)
             assert np.array_equal(a, b), field.name
@@ -399,7 +451,7 @@ class TestSolveLrrSelf:
             synth.add_noise(synth.sample(ens, 30, seed=1), 0.1, seed=2))
         opts = solver.SolverOptions(lam=10.0)
         sol = solver.solve_lrr_self(ds.X, "frobenius_sq", opts)
-        ref = solver.solve_lrr_reduced(ds.X, ds.X, "frobenius_sq", opts)
+        ref = solver.solve_lrr(ds.X, ds.X, "frobenius_sq", opts)
         assert sol.converged and ref.converged
         assert oracles.frobenius_kkt_violation(ds.X, sol.Z, opts.lam) <= 1e-9
         assert sol.objective <= ref.objective
@@ -470,11 +522,13 @@ class TestSolveLrrSelf:
 
 def plain_self_l21(X, opts):
     """The ``l21`` problem that ``solve_lrr_self`` solves, on ``(S V^T,
-    diag(S))``, solved by ``solve_lrr`` from the zero state with no sweep
-    fast-forwarded, and mapped back to X the same way."""
+    diag(S))``, solved by the plain ADM loop from the zero state with no
+    sweep fast-forwarded, and mapped back to X the same way."""
     f = linalg.skinny_svd(X)
-    sol = solver.solve_lrr(f.sigma[:, None] * f.V.T, np.diag(f.sigma), "l21", opts)
-    return solver._lift(X, X, f.V, sol, f.U)
+    X_r = f.sigma[:, None] * f.V.T
+    sol = solver._run_adm(X_r, solver._z_step(None, f.sigma), "l21", opts,
+                          solver._zero_state(X_r, f.rank, opts))
+    return solver._lift(X, X, f.V, sol, opts.eps, f.U)
 
 
 def assert_same_solve(fast, plain, X):
@@ -551,8 +605,7 @@ class TestFastForward:
         assert solver.solve_lrr_self(X, "l21", opts).warm_sweeps > 100
         for sol in (solver.solve_lrr_self(X, "l1", opts),
                     solver.solve_lrr_self(X, "frobenius_sq", opts),
-                    solver.solve_lrr(X, X, "l21", opts),
-                    solver.solve_lrr_reduced(X, X, "l21", opts)):
+                    solver.solve_lrr(X, X, "l21", opts)):
             assert sol.warm_sweeps == 0
 
     def test_overflow_raises_before_the_warm_up(self, monkeypatch):
@@ -653,8 +706,9 @@ class TestReduceDictionary:
         A = rand((7, 3), 61) @ rand((3, 12), 62)  # rank 3
         X = rand((7, 10), 63)
         opts = solver.SolverOptions(lam=0.5)
-        direct = solver.solve_lrr(X, A, "l21", opts)
-        reduced = solver.solve_lrr_reduced(X, A, "l21", opts)
+        # the ADM on the full dictionary, with no reduction
+        direct = oracles.adm_reference(X, A, "l21", opts)
+        reduced = solver.solve_lrr(X, A, "l21", opts)
         assert np.linalg.norm(direct.Z - reduced.Z) <= 1e-4
         assert np.linalg.norm(direct.E - reduced.E) <= 1e-4
         assert reduced.objective == pytest.approx(direct.objective, rel=1e-6)
