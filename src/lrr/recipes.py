@@ -24,11 +24,22 @@ FIG6_LAMBDA = 0.30
 FIG6_NOISE_LEVEL = 0.24
 FIG6_CORRUPT_SCALE = 1.2
 FIG6_OUTLIER_SCALE = 1.0
+# Fraction of the samples that fig5 and fig6 corrupt.
+CORRUPT_FRACTION = 0.10
+
+# The dataset of each figure, as the keywords of _dataset; each recipe's
+# config repeats them.
+FIG3 = {"k": 11, "dim": 20, "ambient": 200, "per_subspace": 20}
+FIG4 = {"k": 5, "dim": 4, "ambient": 200, "per_subspace": 40,
+        "n_outliers": 50, "outlier_scale": 3.0}
+FIG5 = {"k": 5, "dim": 4, "ambient": 200, "per_subspace": 40}
+FIG6 = {"k": 10, "dim": 4, "ambient": 2000, "per_subspace": 40, "n_outliers": 100,
+        "noise_level": FIG6_NOISE_LEVEL, "corrupt_scale": FIG6_CORRUPT_SCALE,
+        "outlier_scale": FIG6_OUTLIER_SCALE}
 
 
 @dataclass
 class ReplicationOutput:
-    figure: str
     config: dict
     metrics: dict
     tables: dict = field(default_factory=dict)
@@ -37,58 +48,54 @@ class ReplicationOutput:
     dataset: synth.SyntheticDataset | None = None
 
 
-def _subseeds(seed, n):
-    return [int(s) for s in np.random.SeedSequence(seed).generate_state(n)]
+def _dataset(seed, k, dim, ambient, per_subspace, corrupt_scale=None, noise_level=None,
+             n_outliers=None, outlier_scale=None):
+    """``per_subspace`` samples from each of ``k`` pairwise disjoint
+    rank-``dim`` subspaces of R^``ambient``; then, for each parameter given,
+    ``CORRUPT_FRACTION`` of them grossly corrupted, noise added and
+    outliers appended, in that order, each step seeded by the next subseed
+    of ``seed``. Columns are normalized to unit length last."""
+    # the first words of a longer state equal a shorter state, so every
+    # figure keeps the subseeds it had when each drew only as many as it used
+    seeds = iter(np.random.SeedSequence(seed).generate_state(5).tolist())
+    ens = synth.gen_ensemble(k, dim, ambient, mode="disjoint", seed=next(seeds))
+    ds = synth.sample(ens, per_subspace, seed=next(seeds))
+    if corrupt_scale is not None:
+        ds = synth.corrupt_samples(ds, CORRUPT_FRACTION, corrupt_scale, seed=next(seeds))
+    if noise_level is not None:
+        ds = synth.add_noise(ds, noise_level, seed=next(seeds))
+    if n_outliers is not None:
+        ds = synth.add_outliers(ds, n_outliers, outlier_scale, seed=next(seeds))
+    return synth.normalize_columns(ds)
 
 
-def _factor(Z):
-    """The factor of ``Z`` that :func:`metrics.recovery_error` and
-    :func:`cluster.build_affinity` each take; a recipe takes it once and
-    hands it to both."""
-    return skinny_svd(Z, solver.SOLUTION_RANK_TOL)
-
-
-def _outlier_gap(E, dataset):
-    """Largest clean-column norm, smallest outlier-column norm, and the set
-    detected at the midpoint threshold."""
-    norms = np.linalg.norm(E, axis=0)
-    out = dataset.outlier_indices
-    clean = np.setdiff1d(np.arange(dataset.n), out)
-    max_clean = float(norms[clean].max()) if clean.size else 0.0
-    min_out = float(norms[out].min()) if out.size else np.inf
-    detected = None
-    if min_out > max_clean:
-        detected = cluster.detect_outliers(E, (max_clean + min_out) / 2.0)
-    return max_clean, min_out, detected
+def _solve(ds, lam):
+    """The ``l21`` self solve of ``ds.X`` at ``lam``; the factor of its Z,
+    taken once for both :func:`metrics.recovery_error` and
+    :func:`cluster.build_affinity`; the recovery error against ``ds.V0``;
+    and the column norms of E."""
+    sol = solver.solve_lrr_self(ds.X, "l21", solver.SolverOptions(lam=lam))
+    f = skinny_svd(sol.Z, solver.SOLUTION_RANK_TOL)
+    return sol, f, metrics._recovery_error(f, ds.V0), np.linalg.norm(sol.E, axis=0)
 
 
 def make_fig3_dataset(seed=0):
     """11 pairwise disjoint rank-20 subspaces in R^200, 20 clean samples
     each (the dimensions sum past the ambient one, so the subspaces are
     dependent)."""
-    s = _subseeds(seed, 2)
-    ens = synth.gen_ensemble(11, 20, 200, mode="disjoint", seed=s[0])
-    return synth.normalize_columns(synth.sample(ens, 20, seed=s[1]))
+    return _dataset(seed, **FIG3)
 
 
 def make_fig4_dataset(seed=0):
     """5 pairwise disjoint rank-4 subspaces in R^200, 40 samples each, plus
     50 appended Gaussian outliers at 3x the sample magnitude."""
-    s = _subseeds(seed, 3)
-    ens = synth.gen_ensemble(5, 4, 200, mode="disjoint", seed=s[0])
-    ds = synth.sample(ens, 40, seed=s[1])
-    ds = synth.add_outliers(ds, 50, 3.0, seed=s[2])
-    return synth.normalize_columns(ds)
+    return _dataset(seed, **FIG4)
 
 
 def make_fig5_dataset(seed=0, corrupt_scale=0.7):
     """fig4-style clean samples with 10% of them grossly corrupted
     (no appended outliers)."""
-    s = _subseeds(seed, 3)
-    ens = synth.gen_ensemble(5, 4, 200, mode="disjoint", seed=s[0])
-    ds = synth.sample(ens, 40, seed=s[1])
-    ds = synth.corrupt_samples(ds, 0.10, corrupt_scale, seed=s[2])
-    return synth.normalize_columns(ds)
+    return _dataset(seed, **FIG5, corrupt_scale=corrupt_scale)
 
 
 def make_fig6_dataset(seed=0):
@@ -96,25 +103,18 @@ def make_fig6_dataset(seed=0):
     10% of the samples grossly corrupted, the rest lightly noised, and 100
     outliers appended. The ``FIG6_*`` levels put the planted error ratio
     near 0.63."""
-    s = _subseeds(seed, 5)
-    ens = synth.gen_ensemble(10, 4, 2000, mode="disjoint", seed=s[0])
-    ds = synth.sample(ens, 40, seed=s[1])
-    ds = synth.corrupt_samples(ds, 0.10, FIG6_CORRUPT_SCALE, seed=s[2])
-    ds = synth.add_noise(ds, FIG6_NOISE_LEVEL, seed=s[3])
-    ds = synth.add_outliers(ds, 100, FIG6_OUTLIER_SCALE, seed=s[4])
-    return synth.normalize_columns(ds)
+    return _dataset(seed, **FIG6)
 
 
 def replicate_fig3(seed=0):
     ds = make_fig3_dataset(seed)
     Z = solver.solve_lrr_clean(ds.X, ds.X)
     W = cluster.build_affinity(Z)
-    labels = cluster.ncut_segment(W, 11, seed=seed)
+    labels = cluster.ncut_segment(W, FIG3["k"], seed=seed)
     acc = metrics.segmentation_accuracy(labels, ds.true_labels)
     return ReplicationOutput(
-        figure="fig3",
-        config={"k": 11, "dim": 20, "ambient": 200, "per_subspace": 20, "seed": seed},
-        metrics={"segmentation_accuracy": acc, "k": 11},
+        config={**FIG3, "seed": seed},
+        metrics={"segmentation_accuracy": acc, "k": FIG3["k"]},
         tables={"affinity": W},
         labels=labels,
         dataset=ds,
@@ -127,15 +127,18 @@ def replicate_fig4(seed=0):
     and iterations per lambda, the outlier AUC, and plot tables of the
     lambda = 0.25 solve."""
     ds = make_fig4_dataset(seed)
+    out = ds.outlier_indices
+    clean = np.setdiff1d(np.arange(ds.n), out)
     rows = []
     per_lambda = {}
     for lam in FIG4_LAMBDAS:
-        sol = solver.solve_lrr_self(ds.X, "l21", solver.SolverOptions(lam=lam))
-        f = _factor(sol.Z)
-        rec = metrics._recovery_error(f, ds.V0)
-        max_clean, min_out, detected = _outlier_gap(sol.E, ds)
-        supports_exact = detected is not None and np.array_equal(
-            detected, ds.outlier_indices
+        sol, f, rec, norms = _solve(ds, lam)
+        # exact when a threshold separates the outlier columns of E from
+        # the rest; the midpoint of the gap is the one tried
+        max_clean = float(norms[clean].max()) if clean.size else 0.0
+        min_out = float(norms[out].min()) if out.size else np.inf
+        supports_exact = min_out > max_clean and np.array_equal(
+            np.flatnonzero(norms > (max_clean + min_out) / 2.0), out
         )
         exact = supports_exact and rec <= 1e-3
         rows.append([lam, rec, float(exact), sol.iterations])
@@ -149,15 +152,11 @@ def replicate_fig4(seed=0):
             "converged": bool(sol.converged),
         }
         if lam == 0.25:
-            rep_sol, rep_f = sol, f
-    scores = np.linalg.norm(rep_sol.E, axis=0)
+            scores, rep_f = norms, f
     truth = np.zeros(ds.n, dtype=bool)
-    truth[ds.outlier_indices] = True
+    truth[out] = True
     return ReplicationOutput(
-        figure="fig4",
-        config={"k": 5, "dim": 4, "ambient": 200, "per_subspace": 40,
-                "n_outliers": 50, "outlier_scale": 3.0,
-                "lambdas": list(FIG4_LAMBDAS), "seed": seed},
+        config={**FIG4, "lambdas": list(FIG4_LAMBDAS), "seed": seed},
         metrics={
             "per_lambda": per_lambda,
             "all_exact": all(v["exact_recovery"] for v in per_lambda.values()),
@@ -168,16 +167,14 @@ def replicate_fig4(seed=0):
             "error_column_norms": scores.reshape(1, -1),
             "affinity": cluster._affinity(rep_f),
         },
-        outliers=ds.outlier_indices,
+        outliers=out,
         dataset=ds,
     )
 
 
-def _replicate_fig5(figure, seed, corrupt_scale):
+def _replicate_fig5(seed, corrupt_scale):
     ds = make_fig5_dataset(seed, corrupt_scale)
-    sol = solver.solve_lrr_self(ds.X, "l21", solver.SolverOptions(lam=FIG5_LAMBDA))
-    f = _factor(sol.Z)
-    norms = np.linalg.norm(sol.E, axis=0)
+    sol, f, rec, norms = _solve(ds, FIG5_LAMBDA)
     truth = np.zeros(ds.n, dtype=bool)
     truth[ds.corrupted_indices] = True
     support_auc = metrics.auc(norms, truth)
@@ -185,19 +182,17 @@ def _replicate_fig5(figure, seed, corrupt_scale):
     order = np.sort(norms)
     gaps = np.diff(order)
     split = float((order[np.argmax(gaps)] + order[np.argmax(gaps) + 1]) / 2.0)
-    detected = cluster.detect_outliers(sol.E, split)
+    detected = np.flatnonzero(norms > split)
     supports_exact = np.array_equal(detected, ds.corrupted_indices)
     return ReplicationOutput(
-        figure=figure,
-        config={"k": 5, "dim": 4, "ambient": 200, "per_subspace": 40,
-                "corrupt_fraction": 0.10, "corrupt_scale": corrupt_scale,
+        config={**FIG5, "corrupt_fraction": CORRUPT_FRACTION, "corrupt_scale": corrupt_scale,
                 "lambda": FIG5_LAMBDA, "seed": seed},
         metrics={
             "support_auc": support_auc,
             "supports_exact": bool(supports_exact),
             "n_detected": int(detected.size),
             "n_corrupted": int(ds.corrupted_indices.size),
-            "recovery_error": metrics._recovery_error(f, ds.V0),
+            "recovery_error": rec,
             "iterations": sol.iterations,
         },
         tables={
@@ -210,11 +205,11 @@ def _replicate_fig5(figure, seed, corrupt_scale):
 
 
 def replicate_fig5a(seed=0):
-    return _replicate_fig5("fig5a", seed, 0.7)
+    return _replicate_fig5(seed, 0.7)
 
 
 def replicate_fig5b(seed=0):
-    return _replicate_fig5("fig5b", seed, 3.5)
+    return _replicate_fig5(seed, 3.5)
 
 
 def replicate_fig6(seed=0):
@@ -223,33 +218,22 @@ def replicate_fig6(seed=0):
     recovery error, planted error ratio and segmentation accuracy on the
     authentic samples."""
     ds = make_fig6_dataset(seed)
-    sol = solver.solve_lrr_self(ds.X, "l21", solver.SolverOptions(lam=FIG6_LAMBDA))
-    f = _factor(sol.Z)
-    rec = metrics._recovery_error(f, ds.V0)
-    out = {
-        "recovery_error": rec,
-        "planted_error_ratio": ds.error_ratio,
-        "iterations": sol.iterations,
-        "converged": bool(sol.converged),
-    }
+    sol, f, rec, norms = _solve(ds, FIG6_LAMBDA)
     W = cluster._affinity(f)
-    labels = cluster.ncut_segment(W, 10, seed=seed)
+    labels = cluster.ncut_segment(W, FIG6["k"], seed=seed)
     auth = ds.authentic_indices()
-    out["segmentation_accuracy_authentic"] = metrics.segmentation_accuracy(
-        labels[auth], ds.true_labels[auth]
-    )
     return ReplicationOutput(
-        figure="fig6",
-        config={"k": 10, "dim": 4, "ambient": 2000, "per_subspace": 40,
-                "n_outliers": 100, "lambda": FIG6_LAMBDA,
-                "noise_level": FIG6_NOISE_LEVEL,
-                "corrupt_scale": FIG6_CORRUPT_SCALE,
-                "outlier_scale": FIG6_OUTLIER_SCALE, "seed": seed},
-        metrics=out,
-        tables={
-            "error_column_norms": np.linalg.norm(sol.E, axis=0).reshape(1, -1),
-            "affinity": W,
+        config={**FIG6, "lambda": FIG6_LAMBDA, "seed": seed},
+        metrics={
+            "recovery_error": rec,
+            "planted_error_ratio": ds.error_ratio,
+            "iterations": sol.iterations,
+            "converged": bool(sol.converged),
+            "segmentation_accuracy_authentic": metrics.segmentation_accuracy(
+                labels[auth], ds.true_labels[auth]
+            ),
         },
+        tables={"error_column_norms": norms.reshape(1, -1), "affinity": W},
         labels=labels,
         dataset=ds,
     )

@@ -19,18 +19,20 @@ Every solve works in one SVD frame, since the minimizer lies in span(A^T).
 dictionary ``U S``, the ``l21`` self solve on ``diag(S)``. Both have
 ``A^T A = S^2``, so their Z-step is a row scaling, set up by
 :func:`_z_step` from the ``S`` that the caller passes: nothing is factored,
-and no solve calls ``scipy.linalg``.
+and no solve calls ``scipy.linalg``. Every solve, iterated or exact, ends in
+:func:`_finish`, which alone builds the :class:`LrrSolution`: it takes the
+objective in the frame, maps the answer back and measures its residual.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy  # noqa: F401  (unused; bench/tracer.py proxies solver.scipy.linalg)
 
 from .errors import DegenerateInputError, FeasibilityError, NumericalError
 from .linalg import as_matrix, norm, pseudoinverse, skinny_svd, svt_with_nuclear
-from .linalg import _EPS, _column_shrink, _entry_shrink
+from .linalg import _EPS, _column_shrink, _entry_shrink, _raw_svd
 
 ERROR_MODELS = ("l21", "l1", "frobenius_sq")
 
@@ -88,11 +90,13 @@ class SolverOptions:
 class LrrSolution:
     """Minimizer pair plus solver diagnostics.
 
-    ``final_residuals`` is ``(||X - A Z - E||_inf, ||Z - J||_inf)`` at the
-    last iteration. ``objective`` is ``||Z||_* + lam * err(E)`` computed from
-    the returned iterates; ``objective_trace`` holds the per-iteration
-    surrogate (nuclear norm of the thresholded variable, which coincides
-    with the objective at convergence). ``mu_trace`` records the penalty
+    Every solve builds it in :func:`_finish`. ``final_residuals`` is
+    ``(||X - A Z - E||_inf, ||Z - J||_inf)``: the first measured on the
+    returned ``Z`` and ``E``, the second at the last iteration (0 when none
+    ran). ``objective`` is ``||Z||_* + lam * err(E)`` of the returned pair,
+    always finite; ``objective_trace`` holds the per-iteration surrogate
+    (nuclear norm of the thresholded variable, which coincides with the
+    objective at convergence). ``mu_trace`` records the penalty
     value used at each iteration. ``warm_sweeps`` counts the leading sweeps
     that the self-expressive ``l21`` solve ran in closed form (see
     :func:`solve_lrr_self`); it is 0 on every other path.
@@ -186,12 +190,13 @@ def solve_lrr(X, A, model="l21", opts=None):
     The minimizer lies in span(A^T), so the sweeps run in the frame of
     :func:`reduce_dictionary`: :func:`_run_adm` solves on (X, U S) from the
     zero state, where ``(U S)^T (U S) = S^2`` makes the Z-step a row
-    scaling by ``1 / (1 + S^2)``, and :func:`_lift` maps the answer back as
-    ``Z = V Z'``. The nuclear norm is invariant under that back-map, so the
-    objective carries over; the feasibility residual is measured on
-    (X, A), and ``converged`` holds only if it, too, is below ``opts.eps``.
-    The zero dictionary has the exact answer ``Z = 0``, ``E = X``, returned
-    with ``iterations=0`` and ``converged=True``. ``X`` and ``A`` are never
+    scaling by ``1 / (1 + S^2)``, and :func:`_finish` maps the answer back
+    as ``Z = V Z'``. The zero dictionary has the exact answer ``Z = 0``,
+    ``E = X``, which :func:`_finish` takes with an empty frame and returns
+    with ``iterations=0`` and ``converged=True``. On both paths the
+    feasibility residual is measured on (X, A), an ADM solve stays
+    ``converged`` only if it, too, is below ``opts.eps``, and an objective
+    that overflows raises ``NumericalError``. ``X`` and ``A`` are never
     written, and the returned ``Z`` and ``E`` share no memory with them or
     with each other.
     """
@@ -201,15 +206,12 @@ def solve_lrr(X, A, model="l21", opts=None):
     if A.shape[0] != X.shape[0]:
         raise ValueError(f"X has {X.shape[0]} rows but dictionary A has {A.shape[0]}")
     if not A.any():
-        E = X.copy()
-        return LrrSolution(Z=np.zeros((A.shape[1], X.shape[1])), E=E, iterations=0,
-                           converged=True, final_residuals=(0.0, 0.0),
-                           objective=opts.lam * error_norm(E, model),
-                           objective_trace=np.empty(0), mu_trace=np.empty(0))
+        return _finish(X, A, np.zeros((A.shape[1], 0)), np.zeros((0, X.shape[1])),
+                       X.copy(), model, opts)
     f = reduce_dictionary(A)
     ops = _z_step(f.U * f.sigma, f.sigma)
-    sol = _run_adm(X, ops, model, opts, _zero_state(X, f.rank, opts))
-    return _lift(X, A, f.V, sol, opts.eps)
+    Z, E, loop = _run_adm(X, ops, model, opts, _zero_state(X, f.rank, opts))
+    return _finish(X, A, f.V, Z, E, model, opts, **loop)
 
 
 solve_lrr_reduced = solve_lrr  # former name, which bench/tracer.py resolves
@@ -219,7 +221,10 @@ def _run_adm(X, ops, model, opts, state):
     """Run ADM sweeps on ``X`` from ``state`` until both residuals fall
     below ``opts.eps`` or ``opts.max_iters`` sweeps have run in all, counting
     those already in ``state``, which must leave at least one. ``ops`` are
-    the Z-step operators of :func:`_z_step` for the dictionary.
+    the Z-step operators of :func:`_z_step` for the dictionary. Returns the
+    last ``Z`` and ``E`` and the loop's record (``iterations``,
+    ``converged``, the last ``r2`` and both traces), the keywords of
+    :func:`_finish`.
 
     The sweep carries one piece of state besides the iterates: the right
     singular basis that the last threshold kept, handed to the next
@@ -309,17 +314,8 @@ def _run_adm(X, ops, model, opts, state):
             converged = True
             break
 
-    objective = norm(Z, "nuclear") + lam * error_norm(E, model)
-    return LrrSolution(
-        Z=Z,
-        E=E,
-        iterations=iterations,
-        converged=converged,
-        final_residuals=(r1, r2),
-        objective=float(objective),
-        objective_trace=np.asarray(obj_trace),
-        mu_trace=np.asarray(mu_trace),
-    )
+    return Z, E, {"iterations": iterations, "converged": converged, "r2": r2,
+                  "obj_trace": obj_trace, "mu_trace": mu_trace}
 
 
 # Relative room that the fast-forward leaves on each of its handoff tests,
@@ -452,17 +448,34 @@ def reduce_dictionary(A):
     return skinny_svd(A)
 
 
-def _lift(X, A, V, sol, eps, U=None):
-    """Map a solve in reduced coordinates back to the problem on (X, A):
-    ``Z = V Z'``, ``E = U E'`` (``E'`` itself when ``U`` is None), and the
-    feasibility residual ``final_residuals[0]`` measured on (X, A). The
-    solve stays ``converged`` only if that residual is below ``eps``: the
-    back-map adds its own rounding, of the order of ``2^-52 max|X|``."""
-    Z = V @ sol.Z
-    E = sol.E if U is None else U @ sol.E
+def _finish(X, A, V, Z, E, model, opts, U=None, iterations=0, converged=True, r2=0.0,
+            obj_trace=(), mu_trace=(), warm_sweeps=0):
+    """The :class:`LrrSolution` of a pair ``(Z', E')`` found in the frame
+    of the dictionary; no other code builds one. The keywords after ``U``
+    are :func:`_run_adm`'s record, which an exact answer leaves at their
+    defaults.
+
+    The objective is taken in the frame, where it equals that of the
+    returned pair (``U`` has orthonormal columns, and ``l1`` solves pass
+    none), and raises ``NumericalError`` if it is not finite. The pair maps
+    back as ``Z = V Z'`` and ``E = U E'`` (``E'`` when ``U`` is None), and
+    ``final_residuals[0]`` is measured on (X, A). A solve that ran sweeps
+    stays ``converged`` only if that residual is below ``opts.eps``, since
+    the back-map adds rounding of the order of ``2^-52 max|X|``; an exact
+    answer stays converged at any scale.
+    """
+    with np.errstate(over="ignore"):
+        objective = float(_raw_svd(Z, compute_uv=False).sum() + opts.lam * error_norm(E, model))
+    if not math.isfinite(objective):
+        raise NumericalError(f"non-finite objective {objective}; rescale the data")
+    Z = V @ Z
+    E = E if U is None else U @ E
     feas = float(np.abs(X - A @ Z - E).max())
-    return replace(sol, Z=Z, E=E, converged=sol.converged and feas < eps,
-                   final_residuals=(feas, sol.final_residuals[1]))
+    return LrrSolution(Z=Z, E=E, iterations=iterations,
+                       converged=converged and (feas < opts.eps or iterations == 0),
+                       final_residuals=(feas, r2), objective=objective,
+                       objective_trace=np.asarray(obj_trace), mu_trace=np.asarray(mu_trace),
+                       warm_sweeps=warm_sweeps)
 
 
 def _frobenius_self(X, f, opts):
@@ -474,25 +487,15 @@ def _frobenius_self(X, f, opts):
     which is ``X - X Z``. Then ``2 lam X^T E = V diag(min(c^2, 1)) V^T`` is
     the identity on the range of Z and has spectral norm at most 1, so it
     lies in the subdifferential of ``||Z||_*``: the KKT conditions hold.
+    :func:`_finish` takes the pair in the frame, ``Z' = diag(z) V^T`` and
+    ``E' = diag(s min(1, 1/c^2)) V^T``.
     """
     # w = 1 / max(c, 1) <= 1, so no square overflows; s w w is s / c^2 as
     # (s / c) / c, which does not underflow before 1 / (2 lam s) does.
     w = 1.0 / np.maximum(f.sigma * math.sqrt(2.0 * opts.lam), 1.0)
-    Z = (f.V * (1.0 - w * w)) @ f.V.T
-    E = (f.U * (f.sigma * w * w)) @ f.V.T
-    objective = norm(Z, "nuclear") + opts.lam * error_norm(E, "frobenius_sq")
-    if not math.isfinite(objective):
-        raise NumericalError(f"non-finite objective {objective} in the closed form")
-    return LrrSolution(
-        Z=Z,
-        E=E,
-        iterations=0,
-        converged=True,
-        final_residuals=(float(np.abs(X - X @ Z - E).max()), 0.0),
-        objective=float(objective),
-        objective_trace=np.empty(0),
-        mu_trace=np.empty(0),
-    )
+    Vt = f.V.T
+    return _finish(X, X, f.V, (1.0 - w * w)[:, None] * Vt, (f.sigma * w * w)[:, None] * Vt,
+                   "frobenius_sq", opts, f.U)
 
 
 def solve_lrr_self(X, model="l21", opts=None):
@@ -514,9 +517,10 @@ def solve_lrr_self(X, model="l21", opts=None):
     ``warm_sweeps`` counts them), and :func:`_run_adm` runs the rest from
     there. The result is that of the plain loop from the zero state to
     roundoff, with the same ``iterations``, ``converged`` and ``mu_trace``.
-    On every path the feasibility residual ``final_residuals[0]`` is
-    measured on X itself, and an ADM solve stays ``converged`` only if it
-    is below ``opts.eps``.
+    Every path ends in :func:`_finish`: the feasibility residual
+    ``final_residuals[0]`` is measured on X itself, an ADM solve stays
+    ``converged`` only if it is below ``opts.eps``, and an objective that
+    overflows raises ``NumericalError``.
     """
     X = as_matrix(X, "X")
     if not X.any():
@@ -532,8 +536,8 @@ def solve_lrr_self(X, model="l21", opts=None):
     ops = _z_step(None, f.sigma)
     state = _fast_forward(f.sigma, Vt, opts)
     warm_sweeps = state.iterations
-    sol = _run_adm(f.sigma[:, None] * Vt, ops, model, opts, state)
-    return _lift(X, X, f.V, replace(sol, warm_sweeps=warm_sweeps), opts.eps, f.U)
+    Z, E, loop = _run_adm(f.sigma[:, None] * Vt, ops, model, opts, state)
+    return _finish(X, X, f.V, Z, E, model, opts, f.U, warm_sweeps=warm_sweeps, **loop)
 
 
 def lambda_outlier_default(X, gamma_star):

@@ -283,6 +283,17 @@ class TestSolveCommand:
         assert main(["solve", "--input", str(big_path), "--self", "--lambda", "0.3",
                      "--output", str(tmp_path / "o")]) == 3
 
+    def test_zero_dictionary_overflow_exit_3(self, tmp_path):
+        # Z = 0 and E = X, whose squared Frobenius norm overflows
+        x_path, a_path = tmp_path / "X.csv", tmp_path / "A.csv"
+        matio.write_matrix_csv(x_path, np.random.default_rng(0).standard_normal((5, 4)) * 1e160)
+        matio.write_matrix_csv(a_path, np.zeros((5, 3)))
+        out = tmp_path / "o"
+        assert main(["solve", "--input", str(x_path), "--dict", str(a_path),
+                     "--error-norm", "frobenius_sq", "--lambda", "0.5",
+                     "--output", str(out)]) == 3
+        assert not out.exists()
+
     def test_frobenius_self_on_huge_data_exit_0(self, tmp_path):
         # the closed form needs no I + X^T X, which overflows at this scale
         ds, _, _ = write_dataset(tmp_path)

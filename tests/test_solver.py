@@ -285,16 +285,18 @@ class TestInPlaceSweep:
 
 def assert_reported_residual(sol, X, A, eps):
     """``final_residuals[0]`` is the feasibility residual of the returned
-    solution on (X, A), and ``converged`` implies that it is below eps."""
+    solution on (X, A), and ``converged`` implies that it is below eps or
+    that no sweep ran (an exact answer)."""
     residual = np.abs(X - A @ sol.Z - sol.E).max()
     assert sol.final_residuals[0] == residual
-    assert residual < eps or not sol.converged
+    assert not sol.converged or residual < eps or sol.iterations == 0
 
 
 class TestConvergedFlag:
     """``converged`` follows the residual that the solution reports, at
     scales from 1e-3 to 1e8; above about 1e7 the rounding of that residual
-    reaches the absolute eps."""
+    reaches the absolute eps. The exact answers (the closed form, the zero
+    dictionary) run no sweep and stay converged at any scale."""
 
     @pytest.mark.parametrize("model", solver.ERROR_MODELS)
     @hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -304,7 +306,7 @@ class TestConvergedFlag:
         opts = solver.SolverOptions(lam=lam)
         assert_reported_residual(solver.solve_lrr(X, A, model, opts), X, A, opts.eps)
 
-    @pytest.mark.parametrize("model", ["l21", "l1"])
+    @pytest.mark.parametrize("model", solver.ERROR_MODELS)
     @hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @hypothesis.given(self_inputs(max_side=10), st.floats(-3.0, 8.0), st.floats(0.2, 2.0))
     def test_self_solves(self, model, X, scale_exp, lam):
@@ -526,9 +528,9 @@ def plain_self_l21(X, opts):
     sweep fast-forwarded, and mapped back to X the same way."""
     f = linalg.skinny_svd(X)
     X_r = f.sigma[:, None] * f.V.T
-    sol = solver._run_adm(X_r, solver._z_step(None, f.sigma), "l21", opts,
-                          solver._zero_state(X_r, f.rank, opts))
-    return solver._lift(X, X, f.V, sol, opts.eps, f.U)
+    Z, E, loop = solver._run_adm(X_r, solver._z_step(None, f.sigma), "l21", opts,
+                                 solver._zero_state(X_r, f.rank, opts))
+    return solver._finish(X, X, f.V, Z, E, "l21", opts, f.U, **loop)
 
 
 def assert_same_solve(fast, plain, X):
@@ -675,10 +677,38 @@ class TestFrobeniusClosedForm:
         assert sol.final_residuals[0] <= 1e-13 * np.abs(X).max()
         assert 0.0 < np.abs(sol.E).max() < 1.0 / scale
 
-    def test_non_finite_objective_raises(self, monkeypatch):
+
+class TestObjectiveGuard:
+    """Every solve, iterated or exact, rejects a non-finite objective with
+    ``NumericalError``. The pytest configuration raises every
+    RuntimeWarning, so an overflow must also be named without one."""
+
+    @pytest.mark.parametrize("model", solver.ERROR_MODELS)
+    @pytest.mark.parametrize("entry", ["tall", "wide", "zero", "self"])
+    def test_non_finite_objective_raises(self, entry, model, monkeypatch):
+        X = rand((6, 4), 59)
+        opts = solver.SolverOptions(lam=1.0)
         monkeypatch.setattr(solver, "error_norm", lambda E, model: np.inf)
-        with pytest.raises(NumericalError):
-            solver.solve_lrr_self(rand((6, 4), 59), "frobenius_sq", solver.SolverOptions(lam=1.0))
+        with pytest.raises(NumericalError, match="non-finite objective"):
+            if entry == "self":
+                solver.solve_lrr_self(X, model, opts)
+            else:
+                A = {"tall": rand((6, 3), 60), "wide": rand((6, 9), 61),
+                     "zero": np.zeros((6, 3))}[entry]
+                solver.solve_lrr(X, A, model, opts)
+
+    @pytest.mark.parametrize("model", solver.ERROR_MODELS)
+    def test_overflowing_penalty_on_the_zero_dictionary(self, model):
+        # E = X, whose squared entries overflow: the l21 and frobenius_sq
+        # penalties do, the l1 penalty does not
+        X = rand((5, 4), 62) * 1e160
+        opts = solver.SolverOptions(lam=0.5)
+        if model == "l1":
+            sol = solver.solve_lrr(X, np.zeros((5, 3)), model, opts)
+            assert sol.objective == opts.lam * np.abs(X).sum()
+        else:
+            with pytest.raises(NumericalError, match="non-finite objective"):
+                solver.solve_lrr(X, np.zeros((5, 3)), model, opts)
 
 
 class TestReduceDictionary:
