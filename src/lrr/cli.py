@@ -37,26 +37,16 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_NO_CONVERGENCE = 4
 
-# The ADM schedule fields of SolverOptions; each is one flag (--mu-init, ...)
-# whose type and default are the field's own.
+# The stopping fields of SolverOptions; each is one flag (--eps, ...) whose
+# type and default are the field's own.
 SCHEDULE = [f for f in dataclasses.fields(solver.SolverOptions) if f.name != "lam"]
 SOLVER_FIELDS = ("iterations", "converged", "final_residuals", "objective",
                  "objective_trace", "warm_sweeps")
 
 
-def _seed(args):
-    """``--seed``, else the ``LRR_SEED`` environment variable, else 0."""
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("LRR_SEED")
-    return int(env) if env else 0
-
-
 def _add_solver_args(p):
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
+    p.add_argument("--lambda", dest="lam", type=float, required=True,
                    help="tradeoff weight on the error term")
-    p.add_argument("--lambda-preset", choices=["motion"], default=None,
-                   help="named preset (motion = 4.0) instead of --lambda")
     p.add_argument("--error-norm", dest="model", default="l21",
                    choices=list(solver.ERROR_MODELS))
     for f in SCHEDULE:
@@ -82,9 +72,9 @@ def _add_io_args(p, dictionary=True):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", type=int, default=0,
                         help="k-means seed of segment, data seed of replicate (default:"
-                             " LRR_SEED, else 0); solve and detect-outliers only echo it")
+                             " 0); solve and detect-outliers only echo it")
     common.add_argument("--output", required=True, help="output directory")
     ap = argparse.ArgumentParser(prog="lrr")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -120,13 +110,7 @@ def build_parser():
 
 
 def _solver_options(args):
-    if args.lam is None and args.lambda_preset == "motion":
-        lam = 4.0
-    elif args.lam is not None:
-        lam = args.lam
-    else:
-        raise ValueError("--lambda (or --lambda-preset) is required")
-    return solver.SolverOptions(lam=lam, **{f.name: getattr(args, f.name) for f in SCHEDULE})
+    return solver.SolverOptions(lam=args.lam, **{f.name: getattr(args, f.name) for f in SCHEDULE})
 
 
 def _load_input(args):
@@ -167,7 +151,7 @@ def cmd_segment(args):
     opts = _solver_options(args)
     k = args.k if args.k == "auto" else int(args.k)
     result = cluster.segment(X, k, args.model, opts, tau=args.tau, delta=args.delta,
-                             seed=_seed(args))
+                             seed=args.seed)
 
     metric_values = {"k_hat": result.k_hat, "k_used": result.k,
                      "accuracy": None, "auc": None}
@@ -229,13 +213,12 @@ def cmd_detect_outliers(args):
 
 
 def cmd_replicate(args):
-    seed = _seed(args)
-    out = recipes.run_replication(args.figure, seed)
+    out = recipes.run_replication(args.figure, args.seed)
     csvs = dict(out.tables)
     if out.dataset is not None:
         csvs["X"] = out.dataset.X
         csvs["true_labels"] = out.dataset.true_labels.reshape(-1, 1)
-    return csvs, None, {"config": {"figure": args.figure, "seed": seed},
+    return csvs, None, {"config": {"figure": args.figure, "seed": args.seed},
                         "metrics": out.metrics, "labels": out.labels,
                         "outliers": out.outliers}
 

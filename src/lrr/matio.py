@@ -1,8 +1,8 @@
 """CSV matrix and JSON record serialization used by the CLI.
 
 Matrices are written one row per line, comma-separated, 17 significant
-digits (lossless for float64), no header unless asked. All writes go
-through a temp-file-and-rename so readers never see partial files."""
+digits (lossless for float64), with no header. All writes go through a
+temp-file-and-rename so readers never see partial files."""
 
 import json
 import os
@@ -33,20 +33,13 @@ def _atomic_write(path, chunks):
         raise
 
 
-def write_matrix_csv(path, M, header=False):
+def write_matrix_csv(path, M):
     """Write ``M`` one row per line, each value as ``%.17g``. Rows are
     formatted and written one at a time, so the text of the whole matrix is
     never held in memory."""
     M = as_matrix(M)
     row_format = ",".join(["%.17g"] * M.shape[1]) + "\n"
-
-    def lines():
-        if header:
-            yield ",".join(f"c{j}" for j in range(M.shape[1])) + "\n"
-        for row in M:
-            yield row_format % tuple(row.tolist())
-
-    _atomic_write(path, lines())
+    _atomic_write(path, (row_format % tuple(row.tolist()) for row in M))
 
 
 def read_matrix_csv(path, header=False):

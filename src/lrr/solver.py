@@ -36,6 +36,12 @@ from .linalg import _EPS, _column_shrink, _entry_shrink, _raw_svd
 
 ERROR_MODELS = ("l21", "l1", "frobenius_sq")
 
+# The penalty schedule of the paper's Algorithm 1: mu starts at MU_INIT and
+# grows by the factor RHO after every sweep, up to MU_MAX.
+MU_INIT = 1e-6
+MU_MAX = 1e6
+RHO = 1.1
+
 # Rank cutoff applied to solver output before factoring it (affinity,
 # recovery error): converged iterates carry junk singular values around the
 # stopping tolerance, and each spurious direction would count in full.
@@ -58,28 +64,20 @@ class SolverOptions:
     """Solver parameters.
 
     ``lam`` is the tradeoff weight on the error term and has no universal
-    default; everything else defaults to the standard schedule
-    (mu: 1e-6 -> 1e6 by factors of rho=1.1, stop when both infinity-norm
-    residuals drop below eps=1e-8). eps presumes data scaled to about
-    unit magnitude; callers own normalization.
+    default. A solve stops when both infinity-norm residuals drop below
+    ``eps`` (1e-8) or after ``max_iters`` (1000) sweeps. eps presumes data
+    scaled to about unit magnitude; callers own normalization. The penalty
+    schedule is Algorithm 1's and not an option: mu runs from ``MU_INIT``
+    (1e-6) to ``MU_MAX`` (1e6) by factors of ``RHO`` (1.1).
     """
 
     lam: float
-    mu_init: float = 1e-6
-    mu_max: float = 1e6
-    rho: float = 1.1
     eps: float = 1e-8
     max_iters: int = 1000
 
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError("lam must be positive")
-        if not (self.mu_init > 0 and self.mu_max > 0):
-            raise ValueError("mu_init and mu_max must be positive")
-        if self.mu_init > self.mu_max:
-            raise ValueError("mu_init must not exceed mu_max")
-        if not self.rho > 1:
-            raise ValueError("rho must be greater than 1")
         if not self.eps > 0:
             raise ValueError("eps must be positive")
         if self.max_iters < 1:
@@ -91,13 +89,14 @@ class LrrSolution:
     """Minimizer pair plus solver diagnostics.
 
     Every solve builds it in :func:`_finish`. ``final_residuals`` is
-    ``(||X - A Z - E||_inf, ||Z - J||_inf)``: the first measured on the
-    returned ``Z`` and ``E``, the second at the last iteration (0 when none
-    ran). ``objective`` is ``||Z||_* + lam * err(E)`` of the returned pair,
-    always finite; ``objective_trace`` holds the per-iteration surrogate
-    (nuclear norm of the thresholded variable, which coincides with the
-    objective at convergence). ``mu_trace`` records the penalty
-    value used at each iteration. ``warm_sweeps`` counts the leading sweeps
+    ``(||X - A Z - E||_inf, ||Z' - J||_inf)``: the first measured on the
+    returned ``Z`` and ``E``, the second at the last iteration and in the
+    solve's frame, on the iterate ``Z'`` that maps back to ``Z = V Z'``
+    (0 when no iteration ran). ``objective`` is ``||Z||_* + lam * err(E)``
+    of the returned pair, always finite; ``objective_trace`` holds the
+    per-iteration surrogate (nuclear norm of the thresholded variable,
+    which coincides with the objective at convergence). ``mu_trace``
+    records the penalty value used at each iteration. ``warm_sweeps`` counts the leading sweeps
     that the self-expressive ``l21`` solve ran in closed form (see
     :func:`solve_lrr_self`); it is 0 on every other path.
     """
@@ -169,12 +168,12 @@ class _AdmState:
     mu_trace: list = field(default_factory=list)
 
 
-def _zero_state(X, n_a, opts):
+def _zero_state(X, n_a):
     """The state before the first sweep of a solve on ``X`` with a
     dictionary of ``n_a`` columns."""
     d, n = X.shape
     return _AdmState(Z=np.zeros((n_a, n)), E=np.zeros((d, n)), Y1=np.zeros((d, n)),
-                     Y2=np.zeros((n_a, n)), mu=opts.mu_init)
+                     Y2=np.zeros((n_a, n)), mu=MU_INIT)
 
 
 def solve_lrr(X, A, model="l21", opts=None):
@@ -183,9 +182,11 @@ def solve_lrr(X, A, model="l21", opts=None):
     Each sweep thresholds the nuclear-norm block (J), solves the
     regularized normal equations ``(I + A^T A) Z = rhs`` for Z, applies the
     proximal step matching ``model`` to E, then updates the multipliers and
-    grows mu. Terminates when both infinity-norm residuals fall below
-    ``opts.eps`` or after ``opts.max_iters`` sweeps (``converged=False``);
-    raises ``NumericalError`` as soon as either residual is not finite.
+    grows mu from ``MU_INIT`` by the factor ``RHO`` up to ``MU_MAX``.
+    Terminates when both infinity-norm residuals fall below ``opts.eps`` or
+    after ``opts.max_iters`` sweeps (``converged=False``); raises
+    ``NumericalError`` at the first sweep where either residual or the
+    objective term ``||J||_* + lam * err(E)`` is not finite.
 
     The minimizer lies in span(A^T), so the sweeps run in the frame of
     :func:`reduce_dictionary`: :func:`_run_adm` solves on (X, U S) from the
@@ -210,21 +211,28 @@ def solve_lrr(X, A, model="l21", opts=None):
                        X.copy(), model, opts)
     f = reduce_dictionary(A)
     ops = _z_step(f.U * f.sigma, f.sigma)
-    Z, E, loop = _run_adm(X, ops, model, opts, _zero_state(X, f.rank, opts))
+    Z, E, loop = _run_adm(X, ops, model, opts, _zero_state(X, f.rank))
     return _finish(X, A, f.V, Z, E, model, opts, **loop)
 
 
 solve_lrr_reduced = solve_lrr  # former name, which bench/tracer.py resolves
 
 
-def _run_adm(X, ops, model, opts, state):
+def _run_adm(X, ops, model, opts, state, U=None):
     """Run ADM sweeps on ``X`` from ``state`` until both residuals fall
     below ``opts.eps`` or ``opts.max_iters`` sweeps have run in all, counting
     those already in ``state``, which must leave at least one. ``ops`` are
     the Z-step operators of :func:`_z_step` for the dictionary. Returns the
     last ``Z`` and ``E`` and the loop's record (``iterations``,
     ``converged``, the last ``r2`` and both traces), the keywords of
-    :func:`_finish`.
+    :func:`_finish`. Raises ``NumericalError`` at the first sweep whose
+    residual or objective term is not finite.
+
+    ``U`` (orthonormal columns) is given when ``X`` is the data in the
+    frame of ``U``, so that :func:`_finish` measures the feasibility
+    residual ``R1`` as ``U R1``, whose infinity norm can exceed that of
+    ``R1``. The loop then stops only if ``||U R1||_inf`` is below eps as
+    well, lifting ``R1`` once at each sweep that passes the frame test.
 
     The sweep carries one piece of state besides the iterates: the right
     singular basis that the last threshold kept, handed to the next
@@ -286,11 +294,12 @@ def _run_adm(X, ops, model, opts, state):
         if model == "frobenius_sq":
             # argmin_E lam*||E||_F^2 + (mu/2)*||E - G||_F^2 = mu*G/(2*lam + mu)
             np.multiply(mu / (2.0 * lam + mu), G, out=E)
-            err = float(np.linalg.norm(E)) ** 2
         else:
             shrink = _column_shrink if model == "l21" else _entry_shrink
             E, kept = shrink(G, lam / mu)
-            err = float(kept.sum())
+        with np.errstate(over="ignore"):
+            err = float(np.linalg.norm(E)) ** 2 if model == "frobenius_sq" else float(kept.sum())
+        objective = j_nuclear + lam * err
 
         # R1 = D - E and R2 = Z - J; max(R.max(), -R.min()) is the
         # infinity norm without an abs temporary
@@ -298,19 +307,28 @@ def _run_adm(X, ops, model, opts, state):
         np.subtract(Z, J, out=M)
         r1 = float(max(D.max(), -D.min()))
         r2 = float(max(M.max(), -M.min()))
+        # A NaN never passes the stopping test below, and an overflowing
+        # penalty stays overflowed, so the iterates can only stay broken:
+        # stop here with the failure named.
         if not (math.isfinite(r1) and math.isfinite(r2)):
-            # A NaN never passes the stopping test below, so the iterates
-            # can only stay broken: stop here with the failure named.
             raise NumericalError(f"non-finite residual at iteration {iterations}")
+        if not math.isfinite(objective):
+            raise NumericalError(f"non-finite objective at iteration {iterations}; "
+                                 "rescale the data")
+        stop = r1 < opts.eps and r2 < opts.eps
+        if stop and U is not None:
+            # X - A Z - E is U R1 on the data: stop only if that, too, is small
+            R1 = U @ D
+            stop = float(max(R1.max(), -R1.min())) < opts.eps
         # Y1 += mu R1, Y2 += mu R2
         D *= mu
         Y1 += D
         M *= mu
         Y2 += M
-        mu = min(opts.rho * mu, opts.mu_max)
+        mu = min(RHO * mu, MU_MAX)
 
-        obj_trace.append(j_nuclear + lam * err)
-        if r1 < opts.eps and r2 < opts.eps:
+        obj_trace.append(objective)
+        if stop:
             converged = True
             break
 
@@ -357,7 +375,7 @@ def _fast_forward(s, Vt, opts):
     gram = 1.0 + s * s
     W = Vt * Vt
     z, y1, y2 = np.zeros(r), np.zeros(r), np.zeros(r)
-    mu = opts.mu_init
+    mu = MU_INIT
     r1_floor = (1.0 + _WARM_MARGIN) * opts.eps * math.sqrt(r * n)
     mu_trace, obj_trace = [], []
     basis = None
@@ -397,13 +415,16 @@ def _fast_forward(s, Vt, opts):
         y2 += q
         mu_trace.append(mu)
         obj_trace.append(float(t.sum()))
-        mu = min(opts.rho * mu, opts.mu_max)
+        mu = min(RHO * mu, MU_MAX)
         # the basis the plain SVT would return: of M^T when M is wide
         kept = t > 0.0
         basis = np.eye(r)[:, kept] if r < n else Vt[kept].T
-    return _AdmState(Z=z[:, None] * Vt, E=np.zeros((r, n)), Y1=y1[:, None] * Vt,
-                     Y2=y2[:, None] * Vt, mu=mu, basis=basis, iterations=len(mu_trace),
-                     obj_trace=obj_trace, mu_trace=mu_trace)
+    # C order, the layout of E and of _run_adm's work arrays (Vt is a
+    # transposed view, so a plain product would be Fortran-ordered)
+    return _AdmState(Z=np.multiply(z[:, None], Vt, order="C"), E=np.zeros((r, n)),
+                     Y1=np.multiply(y1[:, None], Vt, order="C"),
+                     Y2=np.multiply(y2[:, None], Vt, order="C"), mu=mu, basis=basis,
+                     iterations=len(mu_trace), obj_trace=obj_trace, mu_trace=mu_trace)
 
 
 def solve_lrr_clean(X, A):
@@ -517,6 +538,8 @@ def solve_lrr_self(X, model="l21", opts=None):
     ``warm_sweeps`` counts them), and :func:`_run_adm` runs the rest from
     there. The result is that of the plain loop from the zero state to
     roundoff, with the same ``iterations``, ``converged`` and ``mu_trace``.
+    That loop stops only once the residual on X, ``U R'`` for the frame
+    residual ``R'``, is below ``opts.eps`` as well.
     Every path ends in :func:`_finish`: the feasibility residual
     ``final_residuals[0]`` is measured on X itself, an ADM solve stays
     ``converged`` only if it is below ``opts.eps``, and an objective that
@@ -536,7 +559,8 @@ def solve_lrr_self(X, model="l21", opts=None):
     ops = _z_step(None, f.sigma)
     state = _fast_forward(f.sigma, Vt, opts)
     warm_sweeps = state.iterations
-    Z, E, loop = _run_adm(f.sigma[:, None] * Vt, ops, model, opts, state)
+    Z, E, loop = _run_adm(np.multiply(f.sigma[:, None], Vt, order="C"), ops, model, opts,
+                          state, f.U)
     return _finish(X, X, f.V, Z, E, model, opts, f.U, warm_sweeps=warm_sweeps, **loop)
 
 

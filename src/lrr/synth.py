@@ -19,6 +19,8 @@ MODES = ("independent", "disjoint")
 # trusted only when the rank it finds leaves at least this many spare.
 _SKETCH_WIDTH = 64
 _SKETCH_SPARE = 16
+# The smallest norm whose square is a normal float.
+_SQRT_TINY = math.sqrt(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -267,9 +269,25 @@ def add_noise(ds, level, seed=0):
 
 def unit_column_scale(X):
     """Per-column factors ``1 / ||x_j||`` that give every nonzero column of
-    ``X`` unit Euclidean norm; zero columns get factor 1."""
-    norms = np.linalg.norm(X, axis=0)
-    return np.where(norms > 0, 1.0 / np.where(norms > 0, norms, 1.0), 1.0)
+    ``X`` unit Euclidean norm. Zero columns get factor 1, and so do columns
+    whose reciprocal norm is not a float (norm below about 5.6e-309, which
+    only subnormal entries give).
+
+    Where the plain sum of squares leaves the normal range (it overflows,
+    or falls below the smallest normal float, as it does for a column of
+    entries near 1e-200), the norm is taken as ``p ||x_j / p||`` with
+    ``p = max|x_j|``, so that no square over- or underflows."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(X, axis=0)
+    off = ~((_SQRT_TINY <= norms) & (norms < np.inf))
+    if off.any():
+        part = X[:, off]
+        peak = np.abs(part).max(axis=0)
+        peak[peak == 0] = 1.0
+        norms[off] = peak * np.linalg.norm(part / peak, axis=0)
+    with np.errstate(divide="ignore", over="ignore"):
+        factors = 1.0 / norms
+    return np.where(np.isfinite(factors), factors, 1.0)
 
 
 def normalize_columns(ds):

@@ -247,7 +247,7 @@ def adm_reference(X, A, model, opts, s=None):
     apply_a, apply_at = (lambda M: A @ M), (lambda M: A.T @ M)
 
     lam = opts.lam
-    mu = opts.mu_init
+    mu = 1e-6  # the schedule of Algorithm 1: 1e-6, growing by 1.1 up to 1e6
     Z = np.zeros((n_a, n))
     E = np.zeros((d, n))
     Y1 = np.zeros((d, n))
@@ -284,7 +284,7 @@ def adm_reference(X, A, model, opts, s=None):
         r2 = float(np.abs(R2).max())
         Y1 = Y1 + mu * R1
         Y2 = Y2 + mu * R2
-        mu = min(opts.rho * mu, opts.mu_max)
+        mu = min(1.1 * mu, 1e6)
         obj_trace.append(j_nuclear + lam * err)
         if r1 < opts.eps and r2 < opts.eps:
             converged = True
@@ -325,14 +325,9 @@ def frobenius_kkt_violation(X, Z, lam, E=None, rank_tol=1e-8):
                0.0)
 
 
-def csv_text_reference(M, header=False):
+def csv_text_reference(M):
     """The text of ``matio.write_matrix_csv`` as a per-value f-string
     formatter builds it: one line per row, each value ``f"{v:.17g}"``, and
     the whole text joined before it is written."""
     M = np.asarray(M, dtype=np.float64)
-    lines = []
-    if header:
-        lines.append(",".join(f"c{j}" for j in range(M.shape[1])))
-    for row in M:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+    return "\n".join(",".join(f"{v:.17g}" for v in row) for row in M) + "\n"

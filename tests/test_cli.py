@@ -40,12 +40,12 @@ class TestMatio:
         assert np.array_equal(back, M)
 
     def test_header_round_trip(self, tmp_path):
+        # the writer never writes a header; --header reads files that carry one
         M = np.arange(6.0).reshape(2, 3)
         p = tmp_path / "m.csv"
-        matio.write_matrix_csv(p, M, header=True)
-        assert matio.read_matrix_csv(p, header=True).shape == (2, 3)
-        with open(p) as fh:
-            assert fh.readline().strip() == "c0,c1,c2"
+        matio.write_matrix_csv(p, M)
+        p.write_text("c0,c1,c2\n" + p.read_text())
+        assert np.array_equal(matio.read_matrix_csv(p, header=True), M)
 
     def test_single_row_and_column_shapes(self, tmp_path):
         for M in (np.ones((1, 4)), np.ones((4, 1)), np.ones((1, 1))):
@@ -57,16 +57,15 @@ class TestMatio:
     @hypothesis.given(
         hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
                    elements=st.floats(allow_nan=False, allow_infinity=False)
-                   | st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308])),
-        st.booleans())
-    @hypothesis.example(np.array([[5e-324, -0.0, 0.0, 1e300, -1e300, 1e308, -1e308]]), False)
-    @hypothesis.example(np.array([[-0.0], [2.2250738585072014e-308], [-1e-320]]), True)
-    def test_writer_bytes_match_reference(self, M, header):
+                   | st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308])))
+    @hypothesis.example(np.array([[5e-324, -0.0, 0.0, 1e300, -1e300, 1e308, -1e308]]))
+    @hypothesis.example(np.array([[-0.0], [2.2250738585072014e-308], [-1e-320]]))
+    def test_writer_bytes_match_reference(self, M):
         with tempfile.TemporaryDirectory() as d:
             p = os.path.join(d, "m.csv")
-            matio.write_matrix_csv(p, M, header=header)
+            matio.write_matrix_csv(p, M)
             with open(p, "rb") as fh:
-                assert fh.read() == oracles.csv_text_reference(M, header).encode()
+                assert fh.read() == oracles.csv_text_reference(M).encode()
 
     def test_failed_write_keeps_target_and_leaves_no_temp(self, tmp_path, monkeypatch):
         p = tmp_path / "m.csv"
@@ -159,13 +158,13 @@ class TestSolveCommand:
         assert main(["solve", "--input", x_path, "--self",
                      "--output", str(tmp_path / "o")]) == 2
 
-    def test_lambda_preset(self, tmp_path):
+    @pytest.mark.parametrize("flag", ["--mu-init", "--mu-max", "--rho", "--lambda-preset"])
+    def test_removed_flag_exit_2(self, tmp_path, flag):
+        # the penalty schedule is Algorithm 1's, and --lambda the one way to set lambda
         _, x_path, _ = write_dataset(tmp_path)
-        out = tmp_path / "o"
-        assert main(["solve", "--input", x_path, "--self", "--lambda-preset",
-                     "motion", "--output", str(out)]) == 0
-        record = matio.read_json(out / "result.json")
-        assert record["config"]["lambda_preset"] == "motion"
+        value = "motion" if flag == "--lambda-preset" else "1.5"
+        assert main(["solve", "--input", x_path, "--self", "--lambda", "1", flag, value,
+                     "--output", str(tmp_path / "o")]) == 2
 
     def test_nonconvergence_exit_4_still_writes(self, tmp_path):
         _, x_path, _ = write_dataset(tmp_path)
@@ -238,6 +237,24 @@ class TestSolveCommand:
         assert main(args + ["--input", str(unit_path), "--output", str(u_out)]) == 0
         assert (n_out / "Z.csv").read_bytes() == (u_out / "Z.csv").read_bytes()
 
+    @pytest.mark.parametrize("scale", [1e300, 1e-200])
+    def test_normalize_at_extreme_scales(self, tmp_path, monkeypatch, scale):
+        # the plain sum of squares of a column overflows at 1e300 and
+        # underflows at 1e-200
+        x_path = tmp_path / "X.csv"
+        matio.write_matrix_csv(x_path, np.random.default_rng(0).standard_normal((6, 8)) * scale)
+        real = cluster.solve_lrr_self
+        seen = []
+
+        def capturing(X, model, opts):
+            seen.append(X)
+            return real(X, model, opts)
+
+        monkeypatch.setattr(cluster, "solve_lrr_self", capturing)
+        assert main(["segment", "--input", str(x_path), "--k", "2", "--lambda", "0.5",
+                     "--normalize", "--output", str(tmp_path / "o")]) == 0
+        np.testing.assert_allclose(np.linalg.norm(seen[0], axis=0), 1.0, rtol=1e-14)
+
     def test_non_finite_iterate_exit_3(self, tmp_path, monkeypatch):
         _, x_path, _ = write_dataset(tmp_path)
         real = solver._column_shrink
@@ -254,9 +271,6 @@ class TestSolveCommand:
         assert not (out / "Z.csv").exists()
 
     @pytest.mark.parametrize("flag, field, value", [
-        ("--mu-init", "mu_init", 1e-5),
-        ("--mu-max", "mu_max", 1e5),
-        ("--rho", "rho", 1.5),
         ("--eps", "eps", 1e-6),
         ("--max-iters", "max_iters", 50),
     ])
@@ -291,6 +305,18 @@ class TestSolveCommand:
         out = tmp_path / "o"
         assert main(["solve", "--input", str(x_path), "--dict", str(a_path),
                      "--error-norm", "frobenius_sq", "--lambda", "0.5",
+                     "--output", str(out)]) == 3
+        assert not out.exists()
+
+    def test_frobenius_dictionary_overflow_exit_3(self, tmp_path):
+        # the ADM's first squared Frobenius norm of E overflows
+        rng = np.random.default_rng(0)
+        x_path, a_path = tmp_path / "X.csv", tmp_path / "A.csv"
+        matio.write_matrix_csv(x_path, rng.standard_normal((5, 4)) * 1e160)
+        matio.write_matrix_csv(a_path, rng.standard_normal((5, 3)))
+        out = tmp_path / "o"
+        assert main(["solve", "--input", str(x_path), "--dict", str(a_path),
+                     "--error-norm", "frobenius_sq", "--lambda", "1",
                      "--output", str(out)]) == 3
         assert not out.exists()
 
@@ -459,11 +485,10 @@ class TestReplicateCommand:
         assert main(["replicate", "--figure", "fig9",
                      "--output", str(tmp_path / "o")]) == 2
 
-    def test_seed_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LRR_SEED", "3")
+    def test_seed_defaults_to_zero(self, tmp_path):
         out = tmp_path / "o"
         assert main(["replicate", "--figure", "fig3", "--output", str(out)]) == 0
-        assert matio.read_json(out / "result.json")["config"]["seed"] == 3
+        assert matio.read_json(out / "result.json")["config"]["seed"] == 0
 
 
 @pytest.mark.parametrize("command, args", [

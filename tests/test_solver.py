@@ -51,18 +51,16 @@ def self_inputs(draw, max_side=12):
 class TestSolverOptions:
     def test_defaults(self):
         o = solver.SolverOptions(lam=0.5)
-        assert (o.mu_init, o.mu_max, o.rho, o.eps, o.max_iters) == (
-            1e-6, 1e6, 1.1, 1e-8, 1000
-        )
+        assert [f.name for f in dataclasses.fields(o)] == ["lam", "eps", "max_iters"]
+        assert (o.eps, o.max_iters) == (1e-8, 1000)
+        # the penalty schedule of the paper's Algorithm 1, not an option
+        assert (solver.MU_INIT, solver.MU_MAX, solver.RHO) == (1e-6, 1e6, 1.1)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"lam": 0.0},
             {"lam": -1.0},
-            {"lam": 1.0, "mu_init": 0.0},
-            {"lam": 1.0, "mu_init": 10.0, "mu_max": 1.0},
-            {"lam": 1.0, "rho": 1.0},
             {"lam": 1.0, "eps": 0.0},
             {"lam": 1.0, "max_iters": 0},
         ],
@@ -107,8 +105,7 @@ class TestSolveLrr:
     def test_mu_schedule(self):
         opts = solver.SolverOptions(lam=0.5, max_iters=40)
         sol = solver.solve_lrr(rand((6, 8), 4), rand((6, 8), 5), "l21", opts)
-        expected = np.minimum(opts.mu_init * opts.rho ** np.arange(sol.iterations),
-                              opts.mu_max)
+        expected = np.minimum(1e-6 * 1.1 ** np.arange(sol.iterations), 1e6)
         np.testing.assert_allclose(sol.mu_trace, expected, rtol=1e-12)
         assert (np.diff(sol.mu_trace) >= 0).all()
 
@@ -206,7 +203,7 @@ class TestSolveLrr:
         opts = solver.SolverOptions(lam=0.8, max_iters=1)
         sol = solver.solve_lrr(X, A, "frobenius_sq", opts)
         # by hand: first sweep from zero initialization
-        mu = opts.mu_init
+        mu = 1e-6
         J = np.zeros((7, 7))
         Z = np.linalg.solve(np.eye(7) + A.T @ A, A.T @ X + J)
         G = X - A @ Z
@@ -313,6 +310,33 @@ class TestConvergedFlag:
         X = X * 10.0 ** scale_exp
         opts = solver.SolverOptions(lam=lam)
         assert_reported_residual(solver.solve_lrr_self(X, model, opts), X, X, opts.eps)
+
+    def test_l21_self_stops_on_the_residual_on_x(self):
+        # The loop runs in the frame of U, where the residual R' of this
+        # solve falls below eps one sweep before U R', the residual on X.
+        # Stopping on R' alone leaves converged=False below the cap.
+        X = np.random.default_rng(1735460459).standard_normal((10, 11))
+        X = X * synth.unit_column_scale(X)
+        opts = solver.SolverOptions(lam=0.5)
+        sol = solver.solve_lrr_self(X, "l21", opts)
+        assert sol.converged and sol.iterations < opts.max_iters
+        assert_reported_residual(sol, X, X, opts.eps)
+        f = linalg.skinny_svd(X)
+        X_r = np.multiply(f.sigma[:, None], f.V.T, order="C")
+        Z, E, loop = solver._run_adm(X_r, solver._z_step(None, f.sigma), "l21", opts,
+                                     solver._zero_state(X_r, f.rank))
+        frame_only = solver._finish(X, X, f.V, Z, E, "l21", opts, f.U, **loop)
+        assert frame_only.iterations == sol.iterations - 1 and not frame_only.converged
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(4, 29), st.integers(4, 39),
+                      st.sampled_from([0.1, 0.3, 0.5, 1.0]), st.integers(0, 2**32 - 1))
+    def test_unit_scale_l21_self_solves_converge(self, d, n, lam, seed):
+        X = np.random.default_rng(seed).standard_normal((d, n))
+        X = X * synth.unit_column_scale(X)
+        opts = solver.SolverOptions(lam=lam)
+        sol = solver.solve_lrr_self(X, "l21", opts)
+        assert sol.converged and sol.iterations < opts.max_iters
 
     @pytest.mark.parametrize("model", ["l21", "l1"])
     def test_lift_rounding_clears_the_flag(self, model):
@@ -529,7 +553,7 @@ def plain_self_l21(X, opts):
     f = linalg.skinny_svd(X)
     X_r = f.sigma[:, None] * f.V.T
     Z, E, loop = solver._run_adm(X_r, solver._z_step(None, f.sigma), "l21", opts,
-                                 solver._zero_state(X_r, f.rank, opts))
+                                 solver._zero_state(X_r, f.rank), f.U)
     return solver._finish(X, X, f.V, Z, E, "l21", opts, f.U, **loop)
 
 
@@ -600,6 +624,23 @@ class TestFastForward:
         for value in (lo, hi):
             fast = solver.solve_lrr_self(X, "l21", opts(value))
             assert_same_solve(fast, plain_self_l21(X, opts(value)), X)
+
+    def test_loop_receives_c_ordered_arrays(self, monkeypatch):
+        # V^T is a transposed view, and a product with it is Fortran-ordered
+        # unless asked otherwise; the loop's work arrays and E are C-ordered
+        real = solver._run_adm
+        seen = []
+
+        def capturing(X, ops, model, opts, state, U=None):
+            seen.append((X, state.Z, state.E, state.Y1, state.Y2))
+            return real(X, ops, model, opts, state, U)
+
+        monkeypatch.setattr(solver, "_run_adm", capturing)
+        for shape in ("tall", "wide", "rank_deficient"):
+            sol = solver.solve_lrr_self(shaped_input(shape), "l21", solver.SolverOptions(lam=0.7))
+            assert sol.warm_sweeps > 0
+        assert len(seen) == 3
+        assert all(a.flags.c_contiguous for arrays in seen for a in arrays)
 
     def test_warm_sweeps_only_on_the_self_l21_path(self):
         X = shaped_input("rank_deficient")
@@ -696,6 +737,12 @@ class TestObjectiveGuard:
                 A = {"tall": rand((6, 3), 60), "wide": rand((6, 9), 61),
                      "zero": np.zeros((6, 3))}[entry]
                 solver.solve_lrr(X, A, model, opts)
+
+    def test_overflowing_penalty_stops_the_adm_at_once(self):
+        # the first sweep's ||E||_F^2 overflows; the residuals stay finite
+        X, A = rand((5, 4), 63) * 1e160, rand((5, 3), 64)
+        with pytest.raises(NumericalError, match="non-finite objective at iteration 1;"):
+            solver.solve_lrr(X, A, "frobenius_sq", solver.SolverOptions(lam=1.0))
 
     @pytest.mark.parametrize("model", solver.ERROR_MODELS)
     def test_overflowing_penalty_on_the_zero_dictionary(self, model):
