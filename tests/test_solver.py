@@ -61,6 +61,9 @@ class TestSolverOptions:
         [
             {"lam": 0.0},
             {"lam": -1.0},
+            {"lam": float("nan")},
+            {"lam": 1.0, "eps": -1e-8},
+            {"lam": 1.0, "max_iters": -1},
             {"lam": 1.0, "eps": 0.0},
             {"lam": 1.0, "max_iters": 0},
         ],
