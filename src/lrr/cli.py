@@ -20,7 +20,6 @@ reports is not below eps (results are still written).
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 import time
@@ -116,7 +115,8 @@ def _solver_options(args):
 def _load_input(args):
     X = matio.read_matrix_csv(args.input, header=args.header)
     if args.normalize:
-        X = X * synth.unit_column_scale(X)
+        divisors, factors = synth._unit_scale(X)
+        X = X / divisors * factors
     return X
 
 
@@ -214,10 +214,8 @@ def cmd_detect_outliers(args):
 
 def cmd_replicate(args):
     out = recipes.run_replication(args.figure, args.seed)
-    csvs = dict(out.tables)
-    if out.dataset is not None:
-        csvs["X"] = out.dataset.X
-        csvs["true_labels"] = out.dataset.true_labels.reshape(-1, 1)
+    csvs = {**out.tables, "X": out.dataset.X,
+            "true_labels": out.dataset.true_labels.reshape(-1, 1)}
     return csvs, None, {"config": {"figure": args.figure, "seed": args.seed},
                         "metrics": out.metrics, "labels": out.labels,
                         "outliers": out.outliers}
@@ -253,7 +251,7 @@ def main(argv=None):
         for name, matrix in csvs.items():
             matio.write_matrix_csv(os.path.join(args.output, f"{name}.csv"), matrix)
         matio.write_json(os.path.join(args.output, "result.json"), record)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, skinny_svd
-from .solver import SOLUTION_RANK_TOL, solve_lrr_self
+from .solver import SOLUTION_RANK_TOL, LrrSolution, solve_lrr_self
 
 DEFAULT_TAU = 0.08
 # k-means of ncut_segment: restarts from a farthest-point init, and the cap
@@ -34,16 +34,17 @@ def _check_k(k, n):
 @dataclass(frozen=True)
 class SegmentationResult:
     """Labels of :func:`segment` and the stages behind them: the solver's
-    ``solution``, the n x n ``affinity`` W and the sorted Laplacian
-    ``spectrum``."""
+    ``solution``, the n x n ``affinity`` W, the sorted Laplacian
+    ``spectrum`` and the cluster count ``k_hat`` estimated from it. ``k`` is
+    the count the labels use; ``outliers`` is ``None`` without ``delta``."""
 
     labels: np.ndarray
     k: int
     outliers: np.ndarray | None
-    k_hat: int | None
-    solution: object = None
-    affinity: np.ndarray | None = None
-    spectrum: np.ndarray | None = None
+    k_hat: int
+    solution: LrrSolution
+    affinity: np.ndarray
+    spectrum: np.ndarray
 
 
 def build_affinity(Z_star):

@@ -99,11 +99,8 @@ def skinny_svd(M, rank_tol=None):
     elif rank_tol < 0:
         raise ValueError("rank_tol must be nonnegative")
     U, s, Vt = _raw_svd(M)
-    smax = s[0] if s.size else 0.0
-    if smax <= 0.0:
-        r = 0
-    else:
-        r = int(np.count_nonzero(s > rank_tol * smax))
+    # s[0] = 0 keeps no value, since none is above 0
+    r = int(np.count_nonzero(s > rank_tol * s[0]))
     U = U[:, :r].copy()
     s = s[:r].copy()
     V = Vt[:r].T.copy()

@@ -8,7 +8,7 @@ norms, parameter sweeps). These are the desk-scale experiments the test
 suite gates on; the CLI exposes them under ``replicate``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,12 +40,17 @@ FIG6 = {"k": 10, "dim": 4, "ambient": 2000, "per_subspace": 40, "n_outliers": 10
 
 @dataclass
 class ReplicationOutput:
+    """What a recipe returns: its ``config`` and ``metrics``, the plot-ready
+    ``tables`` (name -> matrix), the ``dataset`` it ran on, and the
+    predicted ``labels`` or detected ``outliers`` where the figure has
+    them."""
+
     config: dict
     metrics: dict
-    tables: dict = field(default_factory=dict)
+    tables: dict
+    dataset: synth.SyntheticDataset
     labels: np.ndarray | None = None
     outliers: np.ndarray | None = None
-    dataset: synth.SyntheticDataset | None = None
 
 
 def _dataset(seed, k, dim, ambient, per_subspace, corrupt_scale=None, noise_level=None,
@@ -133,13 +138,11 @@ def replicate_fig4(seed=0):
     per_lambda = {}
     for lam in FIG4_LAMBDAS:
         sol, f, rec, norms = _solve(ds, lam)
-        # exact when a threshold separates the outlier columns of E from
-        # the rest; the midpoint of the gap is the one tried
-        max_clean = float(norms[clean].max()) if clean.size else 0.0
-        min_out = float(norms[out].min()) if out.size else np.inf
-        supports_exact = min_out > max_clean and np.array_equal(
-            np.flatnonzero(norms > (max_clean + min_out) / 2.0), out
-        )
+        # exact when every outlier column of E is longer than every other
+        # column: a threshold in the gap then flags exactly the outliers
+        max_clean = float(norms[clean].max())
+        min_out = float(norms[out].min())
+        supports_exact = min_out > max_clean
         exact = supports_exact and rec <= 1e-3
         rows.append([lam, rec, float(exact), sol.iterations])
         per_lambda[f"{lam:g}"] = {

@@ -25,19 +25,14 @@ _SQRT_TINY = math.sqrt(np.finfo(np.float64).tiny)
 
 @dataclass(frozen=True)
 class SubspaceEnsemble:
-    """Orthonormal bases of k random subspaces of R^ambient."""
+    """Orthonormal bases of k random subspaces, each an ``ambient x dim``
+    array."""
 
     bases: tuple
-    mode: str
-    seed: int
 
     @property
     def k(self):
         return len(self.bases)
-
-    @property
-    def ambient(self):
-        return self.bases[0].shape[0]
 
 
 @dataclass(frozen=True)
@@ -47,17 +42,17 @@ class SyntheticDataset:
 
     The observed matrix ``X = X0 + E0`` is derived from the two parts on
     first read and cached. ``true_labels`` holds the subspace index per
-    column, -1 for outliers. Columns of X0 at ``outlier_indices`` are
-    exactly zero. ``V0`` is an orthonormal basis of the row space of X0,
-    also computed on first read: the ``V`` of ``skinny_svd(X0)``, up to
-    roundoff and the choice of basis, with the same rank (see
-    :func:`_row_space_basis`).
+    column, -1 for outliers; ``outlier_indices`` is derived from it, and the
+    columns of X0 there are exactly zero. ``corrupted_indices`` lists the
+    authentic columns that carry a gross corruption. ``V0`` is an
+    orthonormal basis of the row space of X0, also computed on first read:
+    the ``V`` of ``skinny_svd(X0)``, up to roundoff and the choice of basis,
+    with the same rank (see :func:`_row_space_basis`).
     """
 
     X0: np.ndarray
     E0: np.ndarray
     true_labels: np.ndarray
-    outlier_indices: np.ndarray
     corrupted_indices: np.ndarray
 
     @functools.cached_property
@@ -67,6 +62,10 @@ class SyntheticDataset:
     @functools.cached_property
     def V0(self):
         return _row_space_basis(self.X0)
+
+    @property
+    def outlier_indices(self):
+        return np.flatnonzero(self.true_labels < 0)
 
     @property
     def n(self):
@@ -168,7 +167,7 @@ def gen_ensemble(k, dim, ambient, mode="disjoint", seed=0):
                     raise ValueError(
                         f"subspaces {i} and {j} intersect; use another seed"
                     )
-    return SubspaceEnsemble(bases=tuple(bases), mode=mode, seed=seed)
+    return SubspaceEnsemble(bases=tuple(bases))
 
 
 def sample(ens, per_subspace, seed=0):
@@ -181,45 +180,30 @@ def sample(ens, per_subspace, seed=0):
     cols = [B @ rng.standard_normal((B.shape[1], per_subspace)) for B in ens.bases]
     X0 = np.hstack(cols)
     labels = np.repeat(np.arange(ens.k), per_subspace)
-    empty = np.empty(0, dtype=int)
-    return SyntheticDataset(X0, np.zeros_like(X0), labels, empty, empty.copy())
+    return SyntheticDataset(X0, np.zeros_like(X0), labels, np.empty(0, dtype=int))
 
 
-def _mean_authentic_column_norm(ds):
-    auth = ds.authentic_indices()
-    return float(np.linalg.norm(ds.X0[:, auth], axis=0).mean())
-
-
-def add_outliers(ds, count, magnitude_scale=3.0, seed=0, shuffle=False):
-    """Append ``count`` outlier columns drawn i.i.d. Gaussian.
+def add_outliers(ds, count, magnitude_scale=3.0, seed=0):
+    """Append ``count`` outlier columns drawn i.i.d. Gaussian after the
+    existing columns.
 
     The per-entry standard deviation is ``magnitude_scale`` times the mean
     sample column norm divided by sqrt(d), so an outlier column's norm is
     about ``magnitude_scale`` times a sample's. The appended clean columns
-    are zero and the labels are -1. ``shuffle`` applies a seeded column
-    permutation afterwards so downstream code cannot rely on ordering.
+    are zero and the labels are -1.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     if count == 0:
         return ds
     rng = np.random.default_rng(seed)
-    d, n = ds.X0.shape
-    std = magnitude_scale * _mean_authentic_column_norm(ds) / math.sqrt(d)
-    O = rng.normal(0.0, std, size=(d, count))
+    d = ds.d
+    mean_norm = float(np.linalg.norm(ds.X0[:, ds.authentic_indices()], axis=0).mean())
+    O = rng.normal(0.0, magnitude_scale * mean_norm / math.sqrt(d), size=(d, count))
     X0 = np.hstack([ds.X0, np.zeros((d, count))])
     E0 = np.hstack([ds.E0, O])
     labels = np.concatenate([ds.true_labels, np.full(count, -1)])
-    outliers = np.concatenate([ds.outlier_indices, n + np.arange(count)])
-    corrupted = ds.corrupted_indices
-    if shuffle:
-        perm = rng.permutation(n + count)
-        X0, E0, labels = X0[:, perm], E0[:, perm], labels[perm]
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(perm.size)
-        outliers = np.sort(inv[outliers])
-        corrupted = np.sort(inv[corrupted])
-    return SyntheticDataset(X0, E0, labels, outliers, corrupted)
+    return SyntheticDataset(X0, E0, labels, ds.corrupted_indices)
 
 
 def corrupt_samples(ds, fraction, magnitude_scale=0.7, seed=0):
@@ -244,7 +228,7 @@ def corrupt_samples(ds, fraction, magnitude_scale=0.7, seed=0):
     E0 = ds.E0.copy()
     E0[:, chosen] += noise
     corrupted = np.union1d(ds.corrupted_indices, chosen)
-    return SyntheticDataset(ds.X0, E0, ds.true_labels, ds.outlier_indices, corrupted)
+    return SyntheticDataset(ds.X0, E0, ds.true_labels, corrupted)
 
 
 def add_noise(ds, level, seed=0):
@@ -263,45 +247,65 @@ def add_noise(ds, level, seed=0):
     rms = float(np.sqrt(np.mean(ds.X0[:, auth] ** 2)))
     E0 = ds.E0.copy()
     E0[:, targets] += rng.normal(0.0, level * rms, size=(ds.d, targets.size))
-    return SyntheticDataset(ds.X0, E0, ds.true_labels, ds.outlier_indices,
-                            ds.corrupted_indices)
+    return SyntheticDataset(ds.X0, E0, ds.true_labels, ds.corrupted_indices)
+
+
+def _unit_scale(X):
+    """Per-column divisors ``p`` and factors ``f`` with which ``X / p * f``
+    has unit Euclidean column norms; zero columns get ``p = f = 1``.
+
+    ``f = 1 / ||x_j||`` and ``p = 1``, an exact divisor, except on a column
+    whose reciprocal norm is not a float (norm below about 5.6e-309, which
+    only subnormal entries give): there ``p = max|x_j|`` and ``f = 1 /
+    ||x_j / p||``. Where the plain sum of squares leaves the normal range
+    (it overflows, or falls below the smallest normal float, as it does for
+    a column of entries near 1e-200), the norm is taken as ``max|x_j| ||x_j
+    / max|x_j|||``, so that no square over- or underflows."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(X, axis=0)
+    divisors = np.ones_like(norms)
+    off = np.flatnonzero(~((_SQRT_TINY <= norms) & (norms < np.inf)))
+    if off.size:
+        part = X[:, off]
+        peak = np.abs(part).max(axis=0)
+        peak[peak == 0] = 1.0
+        rel = np.linalg.norm(part / peak, axis=0)
+        norms[off] = peak * rel
+        with np.errstate(divide="ignore", over="ignore"):
+            lift = (rel > 0) & np.isinf(1.0 / norms[off])
+        divisors[off[lift]] = peak[lift]
+        norms[off[lift]] = rel[lift]
+    with np.errstate(divide="ignore", over="ignore"):
+        factors = 1.0 / norms
+    return divisors, np.where(np.isfinite(factors), factors, 1.0)
 
 
 def unit_column_scale(X):
     """Per-column factors ``1 / ||x_j||`` that give every nonzero column of
-    ``X`` unit Euclidean norm. Zero columns get factor 1, and so do columns
-    whose reciprocal norm is not a float (norm below about 5.6e-309, which
-    only subnormal entries give).
-
-    Where the plain sum of squares leaves the normal range (it overflows,
-    or falls below the smallest normal float, as it does for a column of
-    entries near 1e-200), the norm is taken as ``p ||x_j / p||`` with
-    ``p = max|x_j|``, so that no square over- or underflows."""
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(X, axis=0)
-    off = ~((_SQRT_TINY <= norms) & (norms < np.inf))
-    if off.any():
-        part = X[:, off]
-        peak = np.abs(part).max(axis=0)
-        peak[peak == 0] = 1.0
-        norms[off] = peak * np.linalg.norm(part / peak, axis=0)
-    with np.errstate(divide="ignore", over="ignore"):
-        factors = 1.0 / norms
-    return np.where(np.isfinite(factors), factors, 1.0)
+    ``X`` unit Euclidean norm as ``X * factors``. Zero columns get factor 1,
+    and so do columns whose reciprocal norm is not a float (norm below about
+    5.6e-309, which only subnormal entries give): no single factor scales
+    those, and :func:`normalize_columns` and the CLI's ``--normalize``
+    divide them by their largest |entry| first (see :func:`_unit_scale`)."""
+    divisors, factors = _unit_scale(X)
+    return np.where(divisors == 1.0, factors, 1.0)
 
 
 def normalize_columns(ds):
     """Rescale every observed column of X to unit Euclidean norm.
 
-    X0 and E0 columns are scaled by the same factors, so all dataset
-    invariants are preserved; V0 follows the rescaled clean part.
-    This is the standard preprocessing for the benchmark recipes: the
-    solver's behavior at a given lam is only meaningful relative to the
-    sample magnitude. Columns with zero norm are left untouched.
+    X0 and E0 columns are divided and scaled as :func:`_unit_scale` gives
+    for X, so all dataset invariants are preserved; V0 follows the rescaled
+    clean part. A column of normal magnitude is multiplied by ``1 /
+    ||x_j||`` alone, and one of subnormal entries is divided by its largest
+    |entry| first. This is the standard preprocessing for the benchmark
+    recipes: the solver's behavior at a given lam is only meaningful
+    relative to the sample magnitude. Columns with zero norm are left
+    untouched.
     """
-    scale = unit_column_scale(ds.X)
-    return SyntheticDataset(ds.X0 * scale, ds.E0 * scale, ds.true_labels,
-                            ds.outlier_indices, ds.corrupted_indices)
+    divisors, factors = _unit_scale(ds.X)
+    return SyntheticDataset(ds.X0 / divisors * factors, ds.E0 / divisors * factors,
+                            ds.true_labels, ds.corrupted_indices)
 
 
 def smallest_principal_angle(B1, B2):

@@ -237,10 +237,11 @@ class TestSolveCommand:
         assert main(args + ["--input", str(unit_path), "--output", str(u_out)]) == 0
         assert (n_out / "Z.csv").read_bytes() == (u_out / "Z.csv").read_bytes()
 
-    @pytest.mark.parametrize("scale", [1e300, 1e-200])
+    @pytest.mark.parametrize("scale", [1e300, 1e-200, 1e-310])
     def test_normalize_at_extreme_scales(self, tmp_path, monkeypatch, scale):
         # the plain sum of squares of a column overflows at 1e300 and
         # underflows at 1e-200
+        # at 1e-310 the entries are subnormal and no factor 1 / ||x|| is a float
         x_path = tmp_path / "X.csv"
         matio.write_matrix_csv(x_path, np.random.default_rng(0).standard_normal((6, 8)) * scale)
         real = cluster.solve_lrr_self
@@ -514,3 +515,62 @@ class TestUsage:
 
     def test_unknown_flag_exit_2(self, tmp_path):
         assert main(["solve", "--frobnicate"]) == 2
+
+
+@st.composite
+def cli_matrices(draw):
+    """A 1-7 x 1-8 matrix: Gaussian, rank one, with a duplicate or a zero
+    column, or with column scales from 1e-5 to 1e5; then scaled by 10^-300
+    to 10^300."""
+    d, n = draw(st.integers(1, 7)), draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["gaussian", "rank1", "duplicate", "zero_column", "mixed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((d, n))
+    if kind == "rank1":
+        X = rng.standard_normal((d, 1)) @ rng.standard_normal((1, n))
+    elif kind == "duplicate":
+        X[:, -1] = X[:, 0]
+    elif kind == "zero_column":
+        X[:, -1] = 0.0
+    elif kind == "mixed":
+        X = X * 10.0 ** rng.uniform(-5.0, 5.0, n)
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    return X * scale, rng.standard_normal((d, draw(st.integers(1, 8)))) * scale
+
+
+@hypothesis.settings(max_examples=180, deadline=None, derandomize=True, database=None)
+@hypothesis.given(cli_matrices(), st.sampled_from(["solve", "solve-dict", "segment",
+                                                   "detect-outliers"]),
+                  st.sampled_from(solver.ERROR_MODELS), st.booleans())
+def test_cli_outcomes_over_generated_inputs(matrices, command, model, normalize):
+    """Every finite input gets a named outcome: exit 2 only for a zero X,
+    exit 3 with no output, exit 4 only with a residual at or above eps or
+    at the iteration cap, and on exit 0 a ``result.json`` that agrees with
+    the CSVs of ``solve``."""
+    X, A = matrices
+    with tempfile.TemporaryDirectory() as tmp:
+        x_path, a_path = os.path.join(tmp, "X.csv"), os.path.join(tmp, "A.csv")
+        out = os.path.join(tmp, "o")
+        matio.write_matrix_csv(x_path, X)
+        matio.write_matrix_csv(a_path, A)
+        source = ["--dict", a_path] if command == "solve-dict" else []
+        argv = [command.split("-dict")[0], "--input", x_path, *source,
+                "--error-norm", model, "--lambda", "0.5", "--output", out]
+        argv += ["--delta", "0.5"] if command == "detect-outliers" else []
+        argv += ["--normalize"] if normalize else []
+        code = main(argv)
+        assert code in (0, 2, 3, 4)
+        assert (code == 2) == (not X.any() and command != "solve-dict")
+        assert os.path.isdir(out) == (code in (0, 4))
+        if code in (0, 4):
+            record = matio.read_json(os.path.join(out, "result.json"))["solver"]
+            stalled = record["final_residuals"][0] >= 1e-8 or record["iterations"] == 1000
+            assert code == 0 or stalled
+        if code == 0 and command.startswith("solve"):
+            if normalize:
+                divisors, factors = synth._unit_scale(X)
+                X = X / divisors * factors
+            D = A if command == "solve-dict" else X
+            Z = matio.read_matrix_csv(os.path.join(out, "Z.csv"))
+            E = matio.read_matrix_csv(os.path.join(out, "E.csv"))
+            assert record["final_residuals"][0] == np.abs(X - D @ Z - E).max()
