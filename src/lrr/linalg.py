@@ -87,7 +87,7 @@ def skinny_svd(M, rank_tol=None):
       Relative cutoff below which singular values are treated as zero.
       ``None`` selects the standard numerical-rank convention
       ``max(d, n) * machine_epsilon``; ``0.0`` keeps every strictly
-      positive singular value.
+      positive singular value. Must satisfy ``0 <= rank_tol < inf``.
 
     Returns
     -------
@@ -96,8 +96,8 @@ def skinny_svd(M, rank_tol=None):
     M = as_matrix(M)
     if rank_tol is None:
         rank_tol = max(M.shape) * _EPS
-    elif rank_tol < 0:
-        raise ValueError("rank_tol must be nonnegative")
+    elif not 0 <= rank_tol < np.inf:
+        raise ValueError(f"rank_tol must be finite and nonnegative, got {rank_tol}")
     U, s, Vt = _raw_svd(M)
     # s[0] = 0 keeps no value, since none is above 0
     r = int(np.count_nonzero(s > rank_tol * s[0]))

@@ -55,15 +55,53 @@ def segmentation_accuracy(predicted, truth, strategy="auto"):
     m = p.size
     if strategy == "local":
         return float(C.max(axis=1).sum() / m)
-    # Imported on first use: loading scipy.sparse adds about 4 MB and 50 ms
-    # to the start of every process.
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
-
-    # Zero entries of a sparse matrix are missing edges; shifting every
-    # count by one keeps all edges and leaves the best matching unchanged.
-    rows, cols = min_weight_full_bipartite_matching(csr_array(C + 1), maximize=True)
+    # Kuhn-Munkres on the integer counts: the matched total is the exact optimum.
+    rows, cols = _max_assignment(C)
     return float(C[rows, cols].sum() / m)
+
+
+def _max_assignment(C):
+    """Rows and columns of a maximum-weight one-to-one matching of the
+    smaller side of the nonnegative integer matrix ``C`` (Kuhn-Munkres).
+
+    A tall ``C`` is matched as its transpose, so k rows against n >= k
+    columns take O(k^2) vectorized steps of length n. The potentials stay
+    integers, so the matched total is exact; ties may pick any optimum."""
+    if C.shape[0] > C.shape[1]:
+        cols, rows = _max_assignment(C.T)
+        return rows, cols
+    k, n = C.shape
+    # column 0 is a virtual start column and row 0 means "unmatched"
+    cost = np.zeros((k + 1, n + 1), dtype=np.int64)
+    cost[1:, 1:] = -C
+    u = np.zeros(k + 1, dtype=np.int64)
+    v = np.zeros(n + 1, dtype=np.int64)
+    match = np.zeros(n + 1, dtype=np.intp)  # row matched to each column
+    way = np.zeros(n + 1, dtype=np.intp)  # previous column on the augmenting path
+    big = np.iinfo(np.int64).max
+    for i in range(1, k + 1):
+        match[0] = i
+        j0 = 0
+        slack = np.full(n + 1, big)
+        used = np.zeros(n + 1, dtype=bool)
+        while match[j0]:
+            used[j0] = True
+            i0 = match[j0]
+            free = ~used
+            reduced = cost[i0] - u[i0] - v
+            tighter = free & (reduced < slack)
+            slack[tighter] = reduced[tighter]
+            way[tighter] = j0
+            j0 = int(np.argmin(np.where(free, slack, big)))
+            delta = slack[j0]
+            u[match[used]] += delta
+            v[used] -= delta
+            slack[free] -= delta
+        while j0:
+            match[j0] = match[way[j0]]
+            j0 = way[j0]
+    cols = np.flatnonzero(match[1:]) + 1
+    return match[cols] - 1, cols - 1
 
 
 def _check_scores(scores, truth, metric):

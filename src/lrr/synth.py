@@ -280,17 +280,6 @@ def _unit_scale(X):
     return divisors, np.where(np.isfinite(factors), factors, 1.0)
 
 
-def unit_column_scale(X):
-    """Per-column factors ``1 / ||x_j||`` that give every nonzero column of
-    ``X`` unit Euclidean norm as ``X * factors``. Zero columns get factor 1,
-    and so do columns whose reciprocal norm is not a float (norm below about
-    5.6e-309, which only subnormal entries give): no single factor scales
-    those, and :func:`normalize_columns` and the CLI's ``--normalize``
-    divide them by their largest |entry| first (see :func:`_unit_scale`)."""
-    divisors, factors = _unit_scale(X)
-    return np.where(divisors == 1.0, factors, 1.0)
-
-
 def normalize_columns(ds):
     """Rescale every observed column of X to unit Euclidean norm.
 

@@ -122,6 +122,24 @@ def accuracy_by_exhaustive_maps(predicted, truth):
     return best / m
 
 
+def accuracy_by_bipartite_matching(predicted, truth):
+    """Matched fraction under SciPy's maximum-weight full matching of the
+    smaller side of the confusion counts (each shifted by one, so that no
+    edge is missing), counted over the ids in use by a dictionary."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
+    p = [int(x) for x in np.ravel(predicted)]
+    t = [int(x) for x in np.ravel(truth)]
+    row = {c: i for i, c in enumerate(sorted(set(p)))}
+    col = {c: j for j, c in enumerate(sorted(set(t)))}
+    C = np.zeros((len(row), len(col)), dtype=np.int64)
+    for a, b in zip(p, t):
+        C[row[a], col[b]] += 1
+    rows, cols = min_weight_full_bipartite_matching(csr_array(C + 1), maximize=True)
+    return int(C[rows, cols].sum()) / len(p)
+
+
 def auc_by_threshold_sweep(scores, truth):
     """AUC as the trapezoidal area under the ROC traced by sweeping every
     finite threshold (plus the endpoints)."""

@@ -161,6 +161,12 @@ class TestSkinnySvd:
         assert linalg.skinny_svd(M, rank_tol=1e-6).rank == 2
         assert linalg.skinny_svd(M, rank_tol=0.0).rank == 3
 
+    @pytest.mark.parametrize("rank_tol", [np.nan, np.inf, -1e-3])
+    def test_rejects_rank_tol_outside_zero_to_inf(self, rank_tol):
+        # NaN or inf would drop every singular value
+        with pytest.raises(ValueError, match="rank_tol"):
+            linalg.skinny_svd(np.eye(3), rank_tol)
+
     def test_sign_convention_bit_stable(self):
         M = rand((6, 6), 3)
         f1 = linalg.skinny_svd(M)

@@ -1,3 +1,5 @@
+import timeit
+
 import hypothesis
 import hypothesis.strategies as st
 import numpy as np
@@ -97,6 +99,43 @@ class TestSegmentationAccuracy:
         assert got == pytest.approx(expected)
         assert metrics.segmentation_accuracy(pred_ids[pred], truth_ids[truth], "local") \
             == metrics.segmentation_accuracy(pred, truth, "local")
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(1, 15), st.integers(1, 300), st.booleans(),
+                      st.sampled_from(["uniform", "blocks"]), st.integers(0, 3),
+                      st.sampled_from([1, 7, 10**9]), st.integers(0, 2**32 - 1))
+    def test_global_equals_bipartite_matching_oracle(self, k, n, tall, mix, extra, gap,
+                                                      seed):
+        # k clusters against n classes (n clusters against k classes when
+        # tall), every id in use, renamed into gapped ids (up to 3e11). Few
+        # samples per id give many equal counts; "blocks" sends each cluster
+        # to one class, several clusters to the same one, which ties the
+        # choice among them, and scatters a few samples.
+        rng = np.random.default_rng(seed)
+        m = max(k, n) * (1 + extra)
+        pred = rng.permutation(np.resize(np.arange(k), m))
+        if mix == "uniform":
+            truth = rng.permutation(np.resize(np.arange(n), m))
+        else:
+            truth = rng.integers(0, n, size=k)[pred]
+            scatter = rng.random(m) < 0.2
+            truth[scatter] = rng.integers(0, n, size=int(scatter.sum()))
+            truth[rng.permutation(m)[:n]] = np.arange(n)
+        if tall:
+            pred, truth = truth, pred
+        pred = rng.permutation(np.cumsum(rng.integers(1, gap + 1, size=pred.max() + 1)))[pred]
+        truth = np.cumsum(rng.integers(1, gap + 1, size=truth.max() + 1))[truth]
+        expected = oracles.accuracy_by_bipartite_matching(pred, truth)
+        assert metrics.segmentation_accuracy(pred, truth, "global") == expected
+
+    def test_global_matches_9x500_counts_quickly(self):
+        rng = np.random.default_rng(0)
+        pred, truth = rng.integers(0, 9, size=5000), rng.integers(0, 500, size=5000)
+        # the best of five calls, so that a busy host does not decide it
+        assert min(timeit.repeat(lambda: metrics.segmentation_accuracy(pred, truth, "global"),
+                                 number=1, repeat=5)) < 0.02
+        assert metrics.segmentation_accuracy(pred, truth, "global") \
+            == oracles.accuracy_by_bipartite_matching(pred, truth)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -226,6 +226,16 @@ def _dictionary(kind, X):
     return np.asfortranarray(rand((d, d + 8), 32))
 
 
+def run_in_fresh_process(code, *args):
+    """Run ``code`` in a new interpreter that imports ``lrr`` from this
+    source tree, so that ``sys.modules`` holds only what it loads."""
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestInPlaceSweep:
     @pytest.mark.parametrize("model", solver.ERROR_MODELS)
     @pytest.mark.parametrize("kind", ["diagonal", "tall", "wide"])
@@ -276,11 +286,26 @@ class TestInPlaceSweep:
             "    solver.solve_lrr(X, np.zeros((8, 3)), model, opts)\n"
             "assert 'scipy.linalg' not in sys.modules\n"
         )
-        src = os.path.dirname(os.path.dirname(solver.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+        run_in_fresh_process(code)
+
+    def test_segment_with_truth_leaves_scipy_sparse_unloaded(self, tmp_path):
+        # the global label matching of the accuracy runs in NumPy
+        code = (
+            "import sys\n"
+            "from lrr import cli, matio, metrics, synth\n"
+            "out = sys.argv[1]\n"
+            "ens = synth.gen_ensemble(3, 2, 48, mode='independent', seed=0)\n"
+            "ds = synth.sample(ens, 6, seed=1)\n"
+            "matio.write_matrix_csv(out + '/X.csv', ds.X)\n"
+            "matio.write_matrix_csv(out + '/truth.csv', ds.true_labels.reshape(-1, 1) * 1.0)\n"
+            "assert cli.main(['segment', '--input', out + '/X.csv', '--k', '3',\n"
+            "                 '--lambda', '1000', '--truth', out + '/truth.csv',\n"
+            "                 '--output', out + '/o']) == 0\n"
+            "assert matio.read_json(out + '/o/result.json')['metrics']['accuracy'] == 1.0\n"
+            "assert metrics.segmentation_accuracy([0, 0, 1, 2], [1, 1, 0, 0], 'global') == 0.75\n"
+            "assert 'scipy.sparse' not in sys.modules\n"
+        )
+        run_in_fresh_process(code, str(tmp_path))
 
 
 def assert_reported_residual(sol, X, A, eps):
@@ -319,7 +344,8 @@ class TestConvergedFlag:
         # solve falls below eps one sweep before U R', the residual on X.
         # Stopping on R' alone leaves converged=False below the cap.
         X = np.random.default_rng(1735460459).standard_normal((10, 11))
-        X = X * synth.unit_column_scale(X)
+        divisors, factors = synth._unit_scale(X)
+        X = X / divisors * factors
         opts = solver.SolverOptions(lam=0.5)
         sol = solver.solve_lrr_self(X, "l21", opts)
         assert sol.converged and sol.iterations < opts.max_iters
@@ -336,7 +362,8 @@ class TestConvergedFlag:
                       st.sampled_from([0.1, 0.3, 0.5, 1.0]), st.integers(0, 2**32 - 1))
     def test_unit_scale_l21_self_solves_converge(self, d, n, lam, seed):
         X = np.random.default_rng(seed).standard_normal((d, n))
-        X = X * synth.unit_column_scale(X)
+        divisors, factors = synth._unit_scale(X)
+        X = X / divisors * factors
         opts = solver.SolverOptions(lam=lam)
         sol = solver.solve_lrr_self(X, "l21", opts)
         assert sol.converged and sol.iterations < opts.max_iters
