@@ -1,6 +1,6 @@
-"""Evaluation metrics: segmentation accuracy with global/local label
-matching, ROC AUC for outlier scoring, row-space recovery error, and the
-truncation-based error-level estimate."""
+"""Evaluation metrics: segmentation accuracy under a one-to-one (or, on
+request, majority) label matching, ROC AUC for outlier scoring, row-space
+recovery error, and the truncation-based error-level estimate."""
 
 import numpy as np
 
@@ -8,7 +8,7 @@ from .errors import UndefinedMetricError
 from .linalg import as_matrix, skinny_svd, singular_values
 from .solver import SOLUTION_RANK_TOL
 
-STRATEGIES = ("global", "local", "auto")
+STRATEGIES = ("global", "local")
 
 
 def _check_labels(predicted, truth):
@@ -34,24 +34,22 @@ def _confusion(p, t):
     return C
 
 
-def segmentation_accuracy(predicted, truth, strategy="auto"):
+def segmentation_accuracy(predicted, truth, strategy="global"):
     """Fraction of samples whose cluster, after relabeling, matches the
     ground-truth class.
 
-    ``global`` finds the best one-to-one matching of cluster ids to class
-    ids (linear assignment on the confusion matrix). ``local`` gives each
-    cluster the class contributing most of its members; two clusters may
-    collide on a label. ``auto`` uses global when fewer than 10 clusters
-    are in use and local otherwise, so it depends on the clusters alone,
-    not on the ids that name them. Ids may be any nonnegative integers;
-    only the ids in use are counted.
+    ``global``, the default, finds the best one-to-one matching of cluster
+    ids to class ids (linear assignment on the confusion matrix) at any
+    cluster count, so a class split across two clusters counts only one of
+    them. ``local`` gives each cluster the class contributing most of its
+    members; two clusters may collide on a label, so it never scores below
+    ``global``. Ids may be any nonnegative integers; only the ids in use
+    are counted.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
     p, t = _check_labels(predicted, truth)
     C = _confusion(p, t)
-    if strategy == "auto":
-        strategy = "global" if C.shape[0] < 10 else "local"
     m = p.size
     if strategy == "local":
         return float(C.max(axis=1).sum() / m)

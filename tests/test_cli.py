@@ -347,6 +347,19 @@ class TestSegmentCommand:
         labels = matio.read_int_vector(out / "labels.csv")
         assert labels.shape == (ds.n,)
 
+    def test_split_class_scores_one_to_one(self, tmp_path):
+        # 12 clusters on 11 clean subspaces split one class of 6 in two;
+        # only one half can claim it, at any cluster count
+        ens = synth.gen_ensemble(11, 2, 30, mode="independent", seed=0)
+        ds = synth.normalize_columns(synth.sample(ens, 6, seed=1))
+        matio.write_matrix_csv(tmp_path / "X.csv", ds.X)
+        matio.write_matrix_csv(tmp_path / "t.csv", ds.true_labels.reshape(-1, 1).astype(float))
+        out = tmp_path / "o"
+        assert main(["segment", "--input", str(tmp_path / "X.csv"), "--k", "12",
+                     "--lambda", "1000", "--truth", str(tmp_path / "t.csv"),
+                     "--output", str(out)]) == 0
+        assert matio.read_json(out / "result.json")["metrics"]["accuracy"] == 63 / 66
+
     def test_auto_k(self, tmp_path):
         _, x_path, _ = write_dataset(tmp_path)
         out = tmp_path / "o"

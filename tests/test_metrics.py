@@ -14,7 +14,7 @@ import oracles
 class TestSegmentationAccuracy:
     def test_identical_labels(self):
         t = np.array([0, 0, 1, 1, 2, 2])
-        for strategy in ("global", "local", "auto"):
+        for strategy in ("global", "local"):
             assert metrics.segmentation_accuracy(t, t, strategy) == 1.0
 
     def test_swapped_labels(self):
@@ -53,21 +53,22 @@ class TestSegmentationAccuracy:
         l = metrics.segmentation_accuracy(pred, truth, "local")
         assert l >= g - 1e-12
 
-    def test_auto_switches_at_ten_clusters(self):
-        truth = np.arange(12)
-        pred = np.arange(12)
-        pred[0], pred[1] = 1, 0
-        # 12 clusters: auto must take the local path and still score the swap
-        auto = metrics.segmentation_accuracy(pred, truth, "auto")
-        local = metrics.segmentation_accuracy(pred, truth, "local")
-        assert auto == local
+    def test_default_is_one_to_one_at_twelve_clusters(self):
+        # 12 clusters on 11 classes of 6, the last class split 3/3: only one
+        # half can claim it, which majority matching ignores
+        truth = np.repeat(np.arange(11), 6)
+        pred = truth.copy()
+        pred[-3:] = 11
+        default = metrics.segmentation_accuracy(pred, truth)
+        assert default == oracles.accuracy_by_bipartite_matching(pred, truth) == 63 / 66
+        assert default < metrics.segmentation_accuracy(pred, truth, "local") == 1.0
 
-    def test_auto_counts_clusters_not_ids(self):
-        # two clusters either way: auto matches globally, so only one of
-        # them can take the single class, whatever id names the second
+    def test_default_counts_clusters_not_ids(self):
+        # two clusters either way: the default matches one-to-one, so only
+        # one of them can take the single class, whatever id names the second
         truth = np.array([0, 0, 0, 0])
         for pred in ([0, 0, 1, 1], [0, 0, 9, 9]):
-            assert metrics.segmentation_accuracy(np.array(pred), truth, "auto") == 0.5
+            assert metrics.segmentation_accuracy(np.array(pred), truth) == 0.5
 
     def test_global_few_clusters_many_classes(self):
         # 7 clusters against 12 classes: 12!/5! injections to enumerate

@@ -14,6 +14,15 @@ def test_fig3_accuracy_gate():
     assert out.labels.shape == (220,)
 
 
+def test_fig3_reports_majority_matching():
+    # at seed 1 two clusters share a class, so the two rules differ
+    out = recipes.replicate_fig3(seed=1)
+    truth = out.dataset.true_labels
+    local = metrics.segmentation_accuracy(out.labels, truth, "local")
+    assert out.metrics["segmentation_accuracy"] == local
+    assert local > metrics.segmentation_accuracy(out.labels, truth, "global")
+
+
 def test_fig4_full_lambda_grid_exact():
     out = recipes.replicate_fig4(seed=0)
     per_lambda = out.metrics["per_lambda"]
@@ -25,7 +34,13 @@ def test_fig4_full_lambda_grid_exact():
     assert out.metrics["outlier_auc"] >= 0.99
     sweep = out.tables["lambda_sweep"]
     assert sweep.shape == (len(recipes.FIG4_LAMBDAS), 4)
-    assert out.tables["error_column_norms"].shape == (1, 250)
+    norms = out.tables["error_column_norms"]
+    assert norms.shape == (1, 250)
+    # the detected outliers: the columns above the widest gap of the norms
+    order = np.sort(norms[0])
+    i = np.argmax(np.diff(order))
+    assert np.array_equal(out.outliers, np.flatnonzero(norms[0] > (order[i] + order[i + 1]) / 2))
+    assert np.array_equal(out.outliers, out.dataset.outlier_indices)
 
 
 def test_fig4_lambda_default_in_range():
@@ -74,6 +89,9 @@ def test_fig6_recovery_and_segmentation(fig6_run):
     assert 0.10 <= m["recovery_error"] <= 0.25
     assert abs(m["planted_error_ratio"] - 0.63) <= 0.07
     assert m["segmentation_accuracy_authentic"] >= 0.85
+    auth = out.dataset.authentic_indices()
+    assert m["segmentation_accuracy_authentic"] == metrics.segmentation_accuracy(
+        out.labels[auth], out.dataset.true_labels[auth], "global")
     assert out.tables["error_column_norms"].shape == (1, 500)
 
 
