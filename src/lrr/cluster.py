@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, skinny_svd
+from .linalg import _blas_threads, as_matrix, skinny_svd
 from .solver import SOLUTION_RANK_TOL, LrrSolution, solve_lrr_self
 
 DEFAULT_TAU = 0.08
@@ -228,6 +228,7 @@ def segment(X, k, model="l21", opts=None, tau=DEFAULT_TAU, delta=None, seed=0):
     given).
 
     ``tau``, ``delta`` and an integer ``k`` are checked before the solve.
+    A small X runs every stage on one BLAS thread, as the solvers do.
     Returns a :class:`SegmentationResult` carrying labels plus every
     intermediate product as diagnostics.
     """
@@ -239,12 +240,13 @@ def segment(X, k, model="l21", opts=None, tau=DEFAULT_TAU, delta=None, seed=0):
     if not auto:
         k = int(k)
         _check_k(k, X.shape[1])
-    sol = solve_lrr_self(X, model, opts)
-    W = build_affinity(sol.Z)
-    spectrum = laplacian_spectrum(W)
-    k_hat = estimate_k(spectrum, tau)
-    k_used = k_hat if auto else k
-    labels = ncut_segment(W, k_used, seed)
+    with _blas_threads(X.size):
+        sol = solve_lrr_self(X, model, opts)
+        W = build_affinity(sol.Z)
+        spectrum = laplacian_spectrum(W)
+        k_hat = estimate_k(spectrum, tau)
+        k_used = k_hat if auto else k
+        labels = ncut_segment(W, k_used, seed)
     outliers = detect_outliers(sol.E, delta) if delta is not None else None
     return SegmentationResult(
         labels=labels,

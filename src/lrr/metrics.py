@@ -11,9 +11,21 @@ from .solver import SOLUTION_RANK_TOL
 STRATEGIES = ("global", "local")
 
 
+def _as_labels(labels, name):
+    """``labels`` as a flat integer array; any value that is not an integer
+    of int64 range (a fraction, NaN, an infinity, 1e300) raises
+    ``ValueError``."""
+    a = np.asarray(labels).ravel()
+    if a.dtype.kind not in "biu":
+        a = a.astype(float)
+        if not ((np.abs(a) < 2.0**63) & (a == np.round(a))).all():
+            raise ValueError(f"{name} labels must be integers below 2^63")
+    return a.astype(int)
+
+
 def _check_labels(predicted, truth):
-    p = np.asarray(predicted, dtype=int).ravel()
-    t = np.asarray(truth, dtype=int).ravel()
+    p = _as_labels(predicted, "predicted")
+    t = _as_labels(truth, "truth")
     if p.size == 0:
         raise ValueError("empty labelings")
     if p.size != t.size:
@@ -43,8 +55,9 @@ def segmentation_accuracy(predicted, truth, strategy="global"):
     cluster count, so a class split across two clusters counts only one of
     them. ``local`` gives each cluster the class contributing most of its
     members; two clusters may collide on a label, so it never scores below
-    ``global``. Ids may be any nonnegative integers; only the ids in use
-    are counted.
+    ``global``. Ids may be any nonnegative integers, also as floats; only
+    the ids in use are counted. Any other value (a fraction, NaN, an
+    infinity or one of 2^63 or more) raises ``ValueError``.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
@@ -104,11 +117,15 @@ def _max_assignment(C):
 
 def _check_scores(scores, truth, metric):
     """Scores and outlier flags as flat arrays of equal length, with the
-    counts of positives and negatives; both classes must be present."""
+    counts of positives and negatives; both classes must be present, and no
+    score may be NaN."""
     s = np.asarray(scores, dtype=float).ravel()
     y = np.asarray(truth, dtype=bool).ravel()
     if s.size != y.size:
         raise ValueError(f"length mismatch: {s.size} scores vs {y.size} truths")
+    # np.unique and argsort put NaN past every score, so it would rank first
+    if np.isnan(s).any():
+        raise ValueError(f"{metric} scores contain NaN")
     n_pos = int(y.sum())
     n_neg = int(y.size - n_pos)
     if n_pos == 0 or n_neg == 0:
@@ -120,7 +137,7 @@ def auc(scores, truth):
     """Area under the ROC curve via the rank statistic (ties get half
     credit). ``truth`` marks the positives (outliers); higher scores must
     mean more outlier-like. Raises ``UndefinedMetricError`` unless both
-    classes are present."""
+    classes are present, and ``ValueError`` on a NaN score."""
     s, y, n_pos, n_neg = _check_scores(scores, truth, "AUC")
     # 1-based ranks, averaged over ties: a tie group ending at rank `end`
     # with `count` members has mean rank end - (count - 1) / 2.

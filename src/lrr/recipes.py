@@ -5,7 +5,10 @@ observed columns to unit length (the reference tradeoff weights assume
 unit-magnitude samples), runs the pipeline with its reference parameters,
 and returns metrics plus plot-ready tables (affinity heatmap, error-column
 norms, parameter sweeps). These are the desk-scale experiments the test
-suite gates on; the CLI exposes them under ``replicate``.
+suite gates on; the CLI exposes them under ``replicate``. Every recipe but fig6
+runs on one BLAS thread from data generation on (see
+:func:`~lrr.linalg._blas_threads`), so its output does not depend on the
+thread count the process starts with.
 """
 
 from dataclasses import dataclass
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cluster, metrics, solver, synth
-from .linalg import skinny_svd
+from .linalg import _blas_threads, skinny_svd
 
 # Reference parameter sets. fig4's lambda grid spans the window where
 # outliers are identified exactly; fig6's noise/corruption/outlier split is
@@ -74,6 +77,14 @@ def _dataset(seed, k, dim, ambient, per_subspace, corrupt_scale=None, noise_leve
     return synth.normalize_columns(ds)
 
 
+def _blas_threads_of(fig):
+    """:func:`~lrr.linalg._blas_threads` sized by the data matrix of the
+    figure whose dataset keywords are ``fig``: a recipe decorated with it
+    generates its data, solves and scores under one scope."""
+    n = fig["k"] * fig["per_subspace"] + fig.get("n_outliers", 0)
+    return _blas_threads(fig["ambient"] * n)
+
+
 def _solve(ds, lam):
     """The ``l21`` self solve of ``ds.X`` at ``lam``; the factor of its Z,
     taken once for both :func:`metrics.recovery_error` and
@@ -119,6 +130,7 @@ def make_fig6_dataset(seed=0):
     return _dataset(seed, **FIG6)
 
 
+@_blas_threads_of(FIG3)
 def replicate_fig3(seed=0):
     ds = make_fig3_dataset(seed)
     Z = solver.solve_lrr_clean(ds.X, ds.X)
@@ -135,6 +147,7 @@ def replicate_fig3(seed=0):
     )
 
 
+@_blas_threads_of(FIG4)
 def replicate_fig4(seed=0):
     """One ``l21`` self-expressive solve per lambda of ``FIG4_LAMBDAS`` on
     :func:`make_fig4_dataset`: recovery error, exact outlier identification
@@ -184,6 +197,7 @@ def replicate_fig4(seed=0):
     )
 
 
+@_blas_threads_of(FIG5)
 def _replicate_fig5(seed, corrupt_scale):
     ds = make_fig5_dataset(seed, corrupt_scale)
     sol, f, rec, norms = _solve(ds, FIG5_LAMBDA)
@@ -220,6 +234,7 @@ def replicate_fig5b(seed=0):
     return _replicate_fig5(seed, 3.5)
 
 
+@_blas_threads_of(FIG6)
 def replicate_fig6(seed=0):
     """One ``l21`` self-expressive solve at ``FIG6_LAMBDA`` on
     :func:`make_fig6_dataset`, its affinity and a 10-way segmentation:

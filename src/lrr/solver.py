@@ -22,6 +22,8 @@ dictionary ``U S``, the ``l21`` self solve on ``diag(S)``. Both have
 and no solve calls ``scipy.linalg``. Every solve, iterated or exact, ends in
 :func:`_finish`, which alone builds the :class:`LrrSolution`: it takes the
 objective in the frame, maps the answer back and measures its residual.
+The three solvers run inputs of fewer than 2^18 entries on one BLAS thread
+(:func:`~lrr.linalg._blas_threads`) and give the caller's count back.
 """
 
 import math
@@ -32,7 +34,7 @@ import scipy  # noqa: F401  (unused; bench/tracer.py proxies solver.scipy.linalg
 
 from .errors import DegenerateInputError, FeasibilityError, NumericalError
 from .linalg import as_matrix, norm, pseudoinverse, skinny_svd, svt_with_nuclear
-from .linalg import _EPS, _column_shrink, _entry_shrink, _raw_svd
+from .linalg import _EPS, _blas_threads, _column_shrink, _entry_shrink, _raw_svd
 
 ERROR_MODELS = ("l21", "l1", "frobenius_sq")
 
@@ -206,13 +208,14 @@ def solve_lrr(X, A, model="l21", opts=None):
     _check_args(model, opts)
     if A.shape[0] != X.shape[0]:
         raise ValueError(f"X has {X.shape[0]} rows but dictionary A has {A.shape[0]}")
-    if not A.any():
-        return _finish(X, A, np.zeros((A.shape[1], 0)), np.zeros((0, X.shape[1])),
-                       X.copy(), model, opts)
-    f = reduce_dictionary(A)
-    ops = _z_step(f.U * f.sigma, f.sigma)
-    Z, E, loop = _run_adm(X, ops, model, opts, _zero_state(X, f.rank))
-    return _finish(X, A, f.V, Z, E, model, opts, **loop)
+    with _blas_threads(max(X.size, A.size)):
+        if not A.any():
+            return _finish(X, A, np.zeros((A.shape[1], 0)), np.zeros((0, X.shape[1])),
+                           X.copy(), model, opts)
+        f = reduce_dictionary(A)
+        ops = _z_step(f.U * f.sigma, f.sigma)
+        Z, E, loop = _run_adm(X, ops, model, opts, _zero_state(X, f.rank))
+        return _finish(X, A, f.V, Z, E, model, opts, **loop)
 
 
 solve_lrr_reduced = solve_lrr  # former name, which bench/tracer.py resolves
@@ -441,9 +444,10 @@ def solve_lrr_clean(X, A):
         raise ValueError(f"X has {X.shape[0]} rows but dictionary A has {A.shape[0]}")
     if not A.any():
         raise DegenerateInputError("dictionary A is the zero matrix")
-    Z = pseudoinverse(A) @ X
-    x_scale = np.linalg.norm(X)
-    residual = np.linalg.norm(X - A @ Z)
+    with _blas_threads(max(X.size, A.size)):
+        Z = pseudoinverse(A) @ X
+        x_scale = np.linalg.norm(X)
+        residual = np.linalg.norm(X - A @ Z)
     rel = residual / x_scale if x_scale > 0 else 0.0
     if rel > 1e-6:
         raise FeasibilityError(
@@ -551,17 +555,18 @@ def solve_lrr_self(X, model="l21", opts=None):
     _check_args(model, opts)
     if model == "l1":
         return solve_lrr(X, X, model, opts)
-    f = skinny_svd(X)
-    if model == "frobenius_sq":
-        return _frobenius_self(X, f, opts)
-    Vt = f.V.T
-    # set up first: an overflowing I + S^2 raises before the fast-forward
-    ops = _z_step(None, f.sigma)
-    state = _fast_forward(f.sigma, Vt, opts)
-    warm_sweeps = state.iterations
-    Z, E, loop = _run_adm(np.multiply(f.sigma[:, None], Vt, order="C"), ops, model, opts,
-                          state, f.U)
-    return _finish(X, X, f.V, Z, E, model, opts, f.U, warm_sweeps=warm_sweeps, **loop)
+    with _blas_threads(X.size):
+        f = skinny_svd(X)
+        if model == "frobenius_sq":
+            return _frobenius_self(X, f, opts)
+        Vt = f.V.T
+        # set up first: an overflowing I + S^2 raises before the fast-forward
+        ops = _z_step(None, f.sigma)
+        state = _fast_forward(f.sigma, Vt, opts)
+        warm_sweeps = state.iterations
+        Z, E, loop = _run_adm(np.multiply(f.sigma[:, None], Vt, order="C"), ops, model, opts,
+                              state, f.U)
+        return _finish(X, X, f.V, Z, E, model, opts, f.U, warm_sweeps=warm_sweeps, **loop)
 
 
 def lambda_outlier_default(X, gamma_star):

@@ -146,6 +146,18 @@ class TestSegmentationAccuracy:
         with pytest.raises(ValueError):
             metrics.segmentation_accuracy([0, 1], [0])
 
+    @pytest.mark.parametrize("bad", [0.5, np.nan, np.inf, 1e300])
+    def test_non_integer_labels_rejected(self, bad):
+        # a fraction used to be truncated: [0, 0.5, 1.7, 1.2] scored 1.0
+        with pytest.raises(ValueError, match="predicted labels must be integers"):
+            metrics.segmentation_accuracy([0, bad, 1.7, 1.2], [0, 0, 1, 1])
+        with pytest.raises(ValueError, match="truth labels must be integers"):
+            metrics.segmentation_accuracy([0, 0, 1, 1], [0, 0, 1, bad])
+
+    def test_integer_valued_floats_accepted(self):
+        # label files are read as floats
+        assert metrics.segmentation_accuracy([0.0, 0.0, 1.0, 1.0], [1, 1, 0, 0]) == 1.0
+
 
 class TestAuc:
     def test_perfect_separation(self):
@@ -187,6 +199,11 @@ class TestAuc:
         with pytest.raises(UndefinedMetricError):
             metrics.auc([0.1, 0.2], [True, True])
 
+    def test_nan_score_rejected(self):
+        # np.unique sorts NaN last, so a NaN positive used to outrank all: 1.0
+        with pytest.raises(ValueError, match="AUC scores contain NaN"):
+            metrics.auc([np.nan, 1.0, 2.0], [True, False, False])
+
 
 class TestRocSweep:
     @pytest.mark.parametrize("seed", range(5))
@@ -206,6 +223,10 @@ class TestRocSweep:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length mismatch"):
             metrics.roc_sweep([0.1, 0.2, 0.3], [True, False])
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(ValueError, match="ROC scores contain NaN"):
+            metrics.roc_sweep([0.1, np.nan, 0.3], [True, False, False])
 
 
 class TestRecoveryError:
