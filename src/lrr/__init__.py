@@ -14,7 +14,6 @@ from .linalg import (
     entry_shrink,
     norm,
     pseudoinverse,
-    row_space_projector,
     skinny_svd,
     svt,
 )
@@ -49,7 +48,6 @@ from .synth import (
 )
 from .metrics import (
     auc,
-    rank_r_error_level,
     recovery_error,
     roc_sweep,
     segmentation_accuracy,

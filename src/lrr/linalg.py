@@ -17,9 +17,9 @@ import threading
 
 import numpy as np
 
-from .errors import DegenerateInputError, NumericalError
+from .errors import NumericalError
 
-NORM_KINDS = ("l1", "l21", "frobenius", "nuclear", "spectral", "linf")
+NORM_KINDS = ("l1", "l21", "frobenius", "spectral")
 
 _EPS = np.finfo(np.float64).eps
 
@@ -157,11 +157,6 @@ def _raw_svd(M, compute_uv=True):
         raise NumericalError(f"SVD failed to converge on a {d}x{n} matrix") from exc
 
 
-def singular_values(M):
-    """Singular values of ``M``, sorted non-increasing."""
-    return _raw_svd(as_matrix(M), compute_uv=False)
-
-
 def skinny_svd(M, rank_tol=None):
     """Skinny SVD of ``M``, dropping singular values ``<= rank_tol * sigma_max``.
 
@@ -212,9 +207,7 @@ def norm(M, kind):
     - ``l1``        sum of absolute entries
     - ``l21``       sum of column-wise Euclidean norms
     - ``frobenius`` square root of the sum of squared entries
-    - ``nuclear``   sum of singular values
     - ``spectral``  largest singular value
-    - ``linf``      largest absolute entry
     """
     M = as_matrix(M)
     if kind == "l1":
@@ -223,13 +216,8 @@ def norm(M, kind):
         return float(np.linalg.norm(M, axis=0).sum())
     if kind == "frobenius":
         return float(np.linalg.norm(M))
-    if kind == "nuclear":
-        return float(singular_values(M).sum())
     if kind == "spectral":
-        s = singular_values(M)
-        return float(s[0]) if s.size else 0.0
-    if kind == "linf":
-        return float(np.abs(M).max())
+        return float(_raw_svd(M, compute_uv=False)[0])
     raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
 
 
@@ -532,15 +520,3 @@ def _entry_shrink(Q, alpha):
     kept = np.maximum(np.abs(Q) - alpha, 0.0)
     return np.sign(Q) * kept, kept
 
-
-def row_space_projector(A):
-    """Orthogonal projector ``V V^T`` onto the row space of ``A``.
-
-    Raises ``DegenerateInputError`` for the zero matrix, whose row space
-    projector would be the useless zero map.
-    """
-    A = as_matrix(A, "A")
-    if not A.any():
-        raise DegenerateInputError("row-space projector of the zero matrix")
-    V = skinny_svd(A).V
-    return V @ V.T

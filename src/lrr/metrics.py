@@ -1,11 +1,11 @@
 """Evaluation metrics: segmentation accuracy under a one-to-one (or, on
-request, majority) label matching, ROC AUC for outlier scoring, row-space
-recovery error, and the truncation-based error-level estimate."""
+request, majority) label matching, ROC AUC for outlier scoring, and
+row-space recovery error."""
 
 import numpy as np
 
 from .errors import UndefinedMetricError
-from .linalg import as_matrix, skinny_svd, singular_values
+from .linalg import as_matrix, skinny_svd
 from .solver import SOLUTION_RANK_TOL
 
 STRATEGIES = ("global", "local")
@@ -76,8 +76,12 @@ def _max_assignment(C):
     smaller side of the nonnegative integer matrix ``C`` (Kuhn-Munkres).
 
     A tall ``C`` is matched as its transpose, so k rows against n >= k
-    columns take O(k^2) vectorized steps of length n. The potentials stay
-    integers, so the matched total is exact; ties may pick any optimum."""
+    columns take O(k^2) vectorized steps of length n. The reduction phase
+    of Jonker-Volgenant seeds the potentials and a partial matching first:
+    each row's potential is its least cost, and a row whose least-cost
+    column is still free takes it, so only the rows left over need an
+    augmenting path. The potentials stay integers, so the matched total is
+    exact; ties may pick any optimum."""
     if C.shape[0] > C.shape[1]:
         cols, rows = _max_assignment(C.T)
         return rows, cols
@@ -85,12 +89,21 @@ def _max_assignment(C):
     # column 0 is a virtual start column and row 0 means "unmatched"
     cost = np.zeros((k + 1, n + 1), dtype=np.int64)
     cost[1:, 1:] = -C
-    u = np.zeros(k + 1, dtype=np.int64)
+    # with v = 0 every reduced cost is nonnegative and each least-cost edge
+    # tight, as the augmenting steps require of every matched row
+    u = cost.min(axis=1)
     v = np.zeros(n + 1, dtype=np.int64)
     match = np.zeros(n + 1, dtype=np.intp)  # row matched to each column
     way = np.zeros(n + 1, dtype=np.intp)  # previous column on the augmenting path
     big = np.iinfo(np.int64).max
+    unmatched = []
     for i in range(1, k + 1):
+        free = np.flatnonzero((cost[i, 1:] == u[i]) & (match[1:] == 0))
+        if free.size:
+            match[free[0] + 1] = i
+        else:
+            unmatched.append(i)
+    for i in unmatched:
         match[0] = i
         j0 = 0
         slack = np.full(n + 1, big)
@@ -169,20 +182,6 @@ def _recovery_error(f, V0):
     P = f.U @ f.U.T
     Q = V0 @ V0.T
     return float(np.linalg.norm(P - Q) / np.linalg.norm(Q))
-
-
-def rank_r_error_level(X, r):
-    """Relative residual of the best rank-``r`` approximation,
-    ``||X - X_r||_F / ||X||_F``, computed from the singular values."""
-    X = as_matrix(X, "X")
-    if not 1 <= r <= min(X.shape):
-        raise ValueError(f"r must be in [1, {min(X.shape)}], got {r}")
-    s = singular_values(X)
-    total = float((s**2).sum())
-    if total == 0.0:
-        return 0.0
-    tail = float((s[r:] ** 2).sum())
-    return float(np.sqrt(tail / total))
 
 
 def roc_sweep(scores, truth):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _EPS, as_matrix, skinny_svd
+from .linalg import _EPS, skinny_svd
 
 MODES = ("independent", "disjoint")
 # The sketch of V0: a fixed-seed Gaussian test matrix of this many columns,
@@ -282,10 +282,3 @@ def normalize_columns(ds):
     divisors, factors = _unit_scale(ds.X)
     return SyntheticDataset(ds.X0 / divisors * factors, ds.E0 / divisors * factors,
                             ds.true_labels, ds.corrupted_indices)
-
-
-def smallest_principal_angle(B1, B2):
-    """Smallest principal angle (radians) between two subspaces given by
-    column-orthonormal bases; 0 means the subspaces intersect."""
-    c = np.linalg.svd(as_matrix(B1).T @ as_matrix(B2), compute_uv=False)
-    return float(np.arccos(np.clip(c[0], -1.0, 1.0)))

@@ -18,6 +18,16 @@ def full_svd_nuclear(M):
     return float(np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False).sum())
 
 
+def row_space_projector(A):
+    """Orthogonal projector ``V V^T`` onto the row space of ``A``, with
+    ``V`` the right singular vectors of singular values above
+    ``max(d, n) * eps * sigma_max``."""
+    A = np.asarray(A, dtype=float)
+    _, s, Vt = np.linalg.svd(A, full_matrices=False)
+    V = Vt[s > max(A.shape) * np.finfo(float).eps * s[0]].T
+    return V @ V.T
+
+
 def svt_by_full_svd(M, theta):
     """Singular-value threshold of ``M`` and the nuclear norm of the result,
     from a full SVD: every singular value shrunk by ``theta``, clamped at

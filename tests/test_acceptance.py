@@ -30,7 +30,7 @@ def projector_distance(Z, V0):
 
 
 def row_space_drift(A, Z):
-    P = linalg.row_space_projector(A)
+    P = oracles.row_space_projector(A)
     return np.linalg.norm(P @ Z - Z) / max(1.0, np.linalg.norm(Z))
 
 

@@ -158,7 +158,7 @@ class TestSolveLrr:
         X = rand((10, 12), 14)
         sol = solver.solve_lrr(X, A, model, solver.SolverOptions(lam=0.5))
         assert sol.converged
-        P = linalg.row_space_projector(A)
+        P = oracles.row_space_projector(A)
         drift = np.linalg.norm(P @ sol.Z - sol.Z)
         assert drift <= 1e-4 * max(1.0, np.linalg.norm(sol.Z))
 
@@ -269,13 +269,17 @@ class TestInPlaceSweep:
             for a, b in [(sol.Z, X), (sol.Z, A), (sol.E, X), (sol.E, A), (sol.Z, sol.E)]:
                 assert not np.shares_memory(a, b)
 
-    def test_import_and_self_solve_leave_scipy_linalg_unloaded(self):
-        # and so does every other solve: no Z-step factors anything
+    def test_import_and_self_solve_leave_scipy_linalg_unloaded(self, tmp_path):
+        # and so does every other solve (no Z-step factors anything), and
+        # so do the solve and replicate commands: SciPy is blocked from the
+        # start, so any import of it would raise
         code = (
             "import sys\n"
+            "sys.modules['scipy'] = None\n"
             "import numpy as np\n"
             "import lrr, lrr.cli\n"
-            "from lrr import solver\n"
+            "from lrr import cli, matio, solver\n"
+            "out = sys.argv[1]\n"
             "X = np.random.default_rng(0).standard_normal((8, 12))\n"
             "opts = solver.SolverOptions(lam=0.5)\n"
             "for model in solver.ERROR_MODELS:\n"
@@ -284,14 +288,26 @@ class TestInPlaceSweep:
             "        A = np.random.default_rng(n_a).standard_normal((8, n_a))\n"
             "        assert solver.solve_lrr(X, A, model, opts).converged\n"
             "    solver.solve_lrr(X, np.zeros((8, 3)), model, opts)\n"
-            "assert 'scipy.linalg' not in sys.modules\n"
+            "matio.write_matrix_csv(out + '/X.csv', X)\n"
+            "matio.write_matrix_csv(out + '/A.csv', np.random.default_rng(1).standard_normal((8, 10)))\n"
+            "for model in solver.ERROR_MODELS:\n"
+            "    assert cli.main(['solve', '--input', out + '/X.csv', '--self', '--error-norm',\n"
+            "                     model, '--lambda', '0.5', '--output', out + '/' + model]) == 0\n"
+            "assert cli.main(['solve', '--input', out + '/X.csv', '--dict', out + '/A.csv',\n"
+            "                 '--lambda', '0.5', '--output', out + '/dict']) == 0\n"
+            "for fig in ('fig3', 'fig4'):\n"
+            "    assert cli.main(['replicate', '--figure', fig, '--output', out + '/' + fig]) == 0\n"
+            "assert not [m for m, mod in sys.modules.items() if m.startswith('scipy') and mod]\n"
         )
-        run_in_fresh_process(code)
+        run_in_fresh_process(code, str(tmp_path))
 
     def test_segment_with_truth_leaves_scipy_sparse_unloaded(self, tmp_path):
-        # the global label matching of the accuracy runs in NumPy
+        # the global label matching of the accuracy runs in NumPy; with
+        # SciPy blocked, so do outlier detection and the fig5 recipes
         code = (
             "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import numpy as np\n"
             "from lrr import cli, matio, metrics, synth\n"
             "out = sys.argv[1]\n"
             "ens = synth.gen_ensemble(3, 2, 48, mode='independent', seed=0)\n"
@@ -303,9 +319,27 @@ class TestInPlaceSweep:
             "                 '--output', out + '/o']) == 0\n"
             "assert matio.read_json(out + '/o/result.json')['metrics']['accuracy'] == 1.0\n"
             "assert metrics.segmentation_accuracy([0, 0, 1, 2], [1, 1, 0, 0], 'global') == 0.75\n"
-            "assert 'scipy.sparse' not in sys.modules\n"
+            "dirty = synth.normalize_columns(synth.add_outliers(ds, 4, 3.0, seed=2))\n"
+            "matio.write_matrix_csv(out + '/dirty.csv', dirty.X)\n"
+            "matio.write_matrix_csv(out + '/flags.csv', (dirty.true_labels < 0).reshape(-1, 1) * 1.0)\n"
+            "assert cli.main(['detect-outliers', '--input', out + '/dirty.csv', '--lambda', '0.3',\n"
+            "                 '--truth', out + '/flags.csv', '--output', out + '/out']) == 0\n"
+            "assert matio.read_json(out + '/out/result.json')['metrics']['auc'] is not None\n"
+            "for fig in ('fig5a', 'fig5b'):\n"
+            "    assert cli.main(['replicate', '--figure', fig, '--output', out + '/' + fig]) == 0\n"
+            "assert not [m for m, mod in sys.modules.items() if m.startswith('scipy') and mod]\n"
         )
         run_in_fresh_process(code, str(tmp_path))
+
+    def test_import_loads_no_scipy_until_solver_scipy_is_read(self):
+        # solver.scipy is imported on demand, for bench/tracer.py's proxy
+        code = (
+            "import importlib, sys\n"
+            "import lrr, lrr.cli\n"
+            "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
+            "assert lrr.solver.scipy is importlib.import_module('scipy')\n"
+        )
+        run_in_fresh_process(code)
 
 
 def assert_reported_residual(sol, X, A, eps):
@@ -421,7 +455,7 @@ class TestSolveLrrClean:
         A = rand((7, 4), 40) @ rand((4, 9), 41)  # rank-deficient dictionary
         X = A @ rand((9, 5), 42)
         Z = solver.solve_lrr_clean(X, A)
-        base = linalg.norm(Z, "nuclear")
+        base = oracles.full_svd_nuclear(Z)
         # null-space directions of A keep feasibility: A @ N = 0
         V = linalg.skinny_svd(A).V
         null_proj = np.eye(9) - V @ V.T
@@ -430,7 +464,7 @@ class TestSolveLrrClean:
             N = null_proj @ rng.standard_normal((9, 5))
             feasible = Z + N
             assert np.abs(A @ feasible - X).max() < 1e-8
-            assert linalg.norm(feasible, "nuclear") >= base - 1e-10
+            assert oracles.full_svd_nuclear(feasible) >= base - 1e-10
 
 
 class TestSolveLrrSelf:

@@ -49,8 +49,10 @@ class TestGenEnsemble:
         ens = synth.gen_ensemble(6, 8, 64, mode="disjoint", seed=3)
         for i in range(ens.k):
             for j in range(i + 1, ens.k):
-                angle = synth.smallest_principal_angle(ens.bases[i], ens.bases[j])
-                assert angle > 1e-3
+                # the largest cosine of the principal angles between the
+                # two orthonormal bases
+                cos = np.linalg.svd(ens.bases[i].T @ ens.bases[j], compute_uv=False)[0]
+                assert np.arccos(min(cos, 1.0)) > 1e-3
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
