@@ -184,6 +184,8 @@ def cmd_segment(args):
 def cmd_detect_outliers(args):
     X = _load_input(args)
     truth = _read_truth(args, X)
+    if truth is not None and not np.isin(truth, (0, 1)).all():
+        raise ValueError(f"{args.truth} holds values other than the 0/1 outlier flags")
     if args.delta is not None:
         cluster._check_delta(args.delta)
     sol = _solve(args, X)
@@ -213,7 +215,7 @@ def cmd_detect_outliers(args):
 
 
 def cmd_replicate(args):
-    out = recipes.run_replication(args.figure, args.seed)
+    out = recipes.RECIPES[args.figure](args.seed)
     csvs = {**out.tables, "X": out.dataset.X,
             "true_labels": out.dataset.true_labels.reshape(-1, 1)}
     return csvs, None, {"config": {"figure": args.figure, "seed": args.seed},

@@ -269,9 +269,3 @@ RECIPES = {
     "fig5b": replicate_fig5b,
     "fig6": replicate_fig6,
 }
-
-
-def run_replication(figure, seed=0):
-    if figure not in RECIPES:
-        raise ValueError(f"unknown figure {figure!r}; expected one of {tuple(RECIPES)}")
-    return RECIPES[figure](seed)

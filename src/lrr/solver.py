@@ -19,13 +19,14 @@ Every solve works in one SVD frame, since the minimizer lies in span(A^T).
 dictionary ``U S``, the ``l21`` self solve on ``diag(S)``. Both have
 ``A^T A = S^2``, so their Z-step is a row scaling, set up by
 :func:`_z_step` from the ``S`` that the caller passes: nothing is factored,
-and no solve calls SciPy. Every solve, iterated or exact, ends in
-:func:`_finish`, which alone builds the :class:`LrrSolution`: it takes the
-objective in the frame, maps the answer back and measures its residual.
+and no solve calls SciPy. Every solve keeps one record, an ``_AdmState``,
+that :func:`_finish` alone turns into the :class:`LrrSolution`: it takes
+the objective in the frame, maps the answer back, measures its residual.
 The three solvers run inputs of fewer than 2^18 entries on one BLAS thread
 (:func:`~lrr.linalg._blas_threads`) and give the caller's count back.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -38,7 +39,7 @@ from .linalg import _EPS, _blas_threads, _column_shrink, _entry_shrink, _raw_svd
 ERROR_MODELS = ("l21", "l1", "frobenius_sq")
 
 # The penalty schedule of the paper's Algorithm 1: mu starts at MU_INIT and
-# grows by the factor RHO after every sweep, up to MU_MAX.
+# grows by the factor RHO after every sweep, up to MU_MAX (see _schedule).
 MU_INIT = 1e-6
 MU_MAX = 1e6
 RHO = 1.1
@@ -77,10 +78,10 @@ class SolverOptions:
     max_iters: int = 1000
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lam must be positive and finite")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -97,9 +98,9 @@ class LrrSolution:
     of the returned pair, always finite; ``objective_trace`` holds the
     per-iteration surrogate (nuclear norm of the thresholded variable,
     which coincides with the objective at convergence). ``mu_trace``
-    records the penalty value used at each iteration. ``warm_sweeps`` counts the leading sweeps
-    that the self-expressive ``l21`` solve ran in closed form (see
-    :func:`solve_lrr_self`); it is 0 on every other path.
+    records the penalty of each iteration. ``warm_sweeps`` counts the
+    leading sweeps that the self-expressive ``l21`` solve ran in closed
+    form (see :func:`solve_lrr_self`); it is 0 on every other path.
     """
 
     Z: np.ndarray
@@ -151,22 +152,37 @@ def _check_args(model, opts):
         raise ValueError(f"unknown error model {model!r}; expected one of {ERROR_MODELS}")
 
 
+def _schedule():
+    """The penalty of each sweep in turn, without end: ``MU_INIT``, then
+    ``min(RHO mu, MU_MAX)`` (Algorithm 1), which never overflows."""
+    mu = MU_INIT
+    while True:
+        yield mu
+        mu = min(RHO * mu, MU_MAX)
+
+
+def _penalties(count):
+    """The penalties of the first ``count`` sweeps, as an array."""
+    return np.fromiter(_schedule(), float, count)
+
+
 @dataclass
 class _AdmState:
-    """The ADM loop between two sweeps: the iterates ``Z, E, Y1, Y2``, the
-    penalty ``mu`` of the next sweep, the SVT basis the last threshold kept
-    (None before the first sweep), the sweeps run so far and their traces.
-    :func:`_run_adm` writes the four arrays in place."""
+    """The record of one solve up to :func:`_finish`: the iterates ``Z, E,
+    Y1, Y2`` in the frame of the dictionary, the SVT basis the last
+    threshold kept, the objective of each sweep run, and whether the last
+    sweep stopped the loop, with its ``r2``. The sweep count is
+    ``len(obj_trace)``, and sweep ``k`` ran at entry ``k`` of
+    :func:`_schedule`. An exact answer is a state with no sweeps."""
 
     Z: np.ndarray
     E: np.ndarray
-    Y1: np.ndarray
-    Y2: np.ndarray
-    mu: float
+    Y1: np.ndarray = None
+    Y2: np.ndarray = None
     basis: object = None
-    iterations: int = 0
     obj_trace: list = field(default_factory=list)
-    mu_trace: list = field(default_factory=list)
+    converged: bool = False
+    r2: float = 0.0
 
 
 def _zero_state(X, n_a):
@@ -174,7 +190,7 @@ def _zero_state(X, n_a):
     dictionary of ``n_a`` columns."""
     d, n = X.shape
     return _AdmState(Z=np.zeros((n_a, n)), E=np.zeros((d, n)), Y1=np.zeros((d, n)),
-                     Y2=np.zeros((n_a, n)), mu=MU_INIT)
+                     Y2=np.zeros((n_a, n)))
 
 
 def solve_lrr(X, A, model="l21", opts=None):
@@ -209,12 +225,12 @@ def solve_lrr(X, A, model="l21", opts=None):
         raise ValueError(f"X has {X.shape[0]} rows but dictionary A has {A.shape[0]}")
     with _blas_threads(max(X.size, A.size)):
         if not A.any():
-            return _finish(X, A, np.zeros((A.shape[1], 0)), np.zeros((0, X.shape[1])),
-                           X.copy(), model, opts)
+            return _finish(X, A, np.zeros((A.shape[1], 0)),
+                           _AdmState(Z=np.zeros((0, X.shape[1])), E=X.copy()), model, opts)
         f = reduce_dictionary(A)
         ops = _z_step(f.U * f.sigma, f.sigma)
-        Z, E, loop = _run_adm(X, ops, model, opts, _zero_state(X, f.rank))
-        return _finish(X, A, f.V, Z, E, model, opts, **loop)
+        return _finish(X, A, f.V, _run_adm(X, ops, model, opts, _zero_state(X, f.rank)),
+                       model, opts)
 
 
 solve_lrr_reduced = solve_lrr  # former name, which bench/tracer.py resolves
@@ -233,11 +249,11 @@ def _run_adm(X, ops, model, opts, state, U=None):
     """Run ADM sweeps on ``X`` from ``state`` until both residuals fall
     below ``opts.eps`` or ``opts.max_iters`` sweeps have run in all, counting
     those already in ``state``, which must leave at least one. ``ops`` are
-    the Z-step operators of :func:`_z_step` for the dictionary. Returns the
-    last ``Z`` and ``E`` and the loop's record (``iterations``,
-    ``converged``, the last ``r2`` and both traces), the keywords of
-    :func:`_finish`. Raises ``NumericalError`` at the first sweep whose
-    residual or objective term is not finite.
+    the Z-step operators of :func:`_z_step` for the dictionary. Updates
+    ``state`` and returns it; sweep ``k`` runs at entry ``k`` of
+    :func:`_schedule`, so the schedule resumes where ``state`` left it.
+    Raises ``NumericalError`` at the first sweep whose residual or objective
+    term is not finite.
 
     ``U`` (orthonormal columns) is given when ``X`` is the data in the
     frame of ``U``, so that :func:`_finish` measures the feasibility
@@ -245,14 +261,13 @@ def _run_adm(X, ops, model, opts, state, U=None):
     ``R1``. The loop then stops only if ``||U R1||_inf`` is below eps as
     well, lifting ``R1`` once at each sweep that passes the frame test.
 
-    The sweep carries one piece of state besides the iterates: the right
-    singular basis that the last threshold kept, handed to the next
-    :func:`~lrr.linalg.svt_with_nuclear` call. There it seeds a
-    subspace-iteration candidate that a certificate and a residual
-    check must prove exact, so the iterates are those of a full SVD to
-    roundoff and the basis only saves the Gram ``eigh`` of sweeps whose
-    kept rank is small next to the matrix (``4 (k + 8) <= n``). An empty
-    basis (after a zero threshold) makes the candidate zero.
+    ``state.basis``, the right singular basis that the last threshold kept,
+    goes to the next :func:`~lrr.linalg.svt_with_nuclear`. There it seeds
+    a subspace-iteration candidate that a certificate and a residual check
+    must prove exact, so the iterates are those of a full SVD to roundoff
+    and the basis only saves the Gram ``eigh`` of sweeps whose kept rank is
+    small next to the matrix (``4 (k + 8) <= n``). An empty basis (after a
+    zero threshold) makes the candidate zero.
 
     Apart from the arrays that the SVT and the l21 or l1 shrink return, a
     sweep allocates nothing of an iterate's size: it works in four arrays
@@ -266,22 +281,16 @@ def _run_adm(X, ops, model, opts, state, U=None):
     """
     apply_a, apply_at, z_solve = ops
     lam = opts.lam
-    Z, E, Y1, Y2, mu, basis = state.Z, state.E, state.Y1, state.Y2, state.mu, state.basis
-    iterations = state.iterations
+    Z, E, Y1, Y2, basis = state.Z, state.E, state.Y1, state.Y2, state.basis
     obj_trace = state.obj_trace
-    mu_trace = state.mu_trace
     # Work arrays, reused by every sweep. M holds the SVT input, then
     # (A^T Y1 - Y2) / mu, then R2; D holds X - E, then X - A Z, then R1.
     M = np.empty(Z.shape)
     rhs = np.empty(Z.shape)
     D = np.empty(X.shape)
     G = np.empty(X.shape)
-    converged = False
 
-    for _ in range(opts.max_iters - iterations):
-        iterations += 1
-        mu_trace.append(mu)
-
+    for mu in itertools.islice(_schedule(), len(obj_trace), opts.max_iters):
         # M = Z + Y2 / mu
         np.divide(Y2, mu, out=M)
         M += Z
@@ -318,13 +327,12 @@ def _run_adm(X, ops, model, opts, state, U=None):
         np.subtract(Z, J, out=M)
         r1 = float(max(D.max(), -D.min()))
         r2 = float(max(M.max(), -M.min()))
-        # A NaN never passes the stopping test below, and an overflowing
-        # penalty stays overflowed, so the iterates can only stay broken:
-        # stop here with the failure named.
+        # A NaN never passes the stopping test below, so the iterates can
+        # only stay broken: stop here with the failure named.
         if not (math.isfinite(r1) and math.isfinite(r2)):
-            raise NumericalError(f"non-finite residual at iteration {iterations}")
+            raise NumericalError(f"non-finite residual at iteration {len(obj_trace) + 1}")
         if not math.isfinite(objective):
-            raise NumericalError(f"non-finite objective at iteration {iterations}; "
+            raise NumericalError(f"non-finite objective at iteration {len(obj_trace) + 1}; "
                                  "rescale the data")
         stop = r1 < opts.eps and r2 < opts.eps
         if stop and U is not None:
@@ -336,15 +344,13 @@ def _run_adm(X, ops, model, opts, state, U=None):
         Y1 += D
         M *= mu
         Y2 += M
-        mu = min(RHO * mu, MU_MAX)
 
         obj_trace.append(objective)
         if stop:
-            converged = True
             break
 
-    return Z, E, {"iterations": iterations, "converged": converged, "r2": r2,
-                  "obj_trace": obj_trace, "mu_trace": mu_trace}
+    state.E, state.basis, state.converged, state.r2 = E, basis, stop, r2
+    return state
 
 
 # Relative room that the fast-forward leaves on each of its handoff tests,
@@ -386,13 +392,11 @@ def _fast_forward(s, Vt, opts):
     gram = 1.0 + s * s
     W = Vt * Vt
     z, y1, y2 = np.zeros(r), np.zeros(r), np.zeros(r)
-    mu = MU_INIT
     r1_floor = (1.0 + _WARM_MARGIN) * opts.eps * math.sqrt(r * n)
-    mu_trace, obj_trace = [], []
-    basis = None
+    obj_trace = []
     rounding = _EPS * (s * np.abs(Vt).max(axis=1)).max()
     limit = opts.max_iters - 1 if rounding <= _WARM_MARGIN * opts.eps else 0
-    while len(mu_trace) < limit:
+    for mu in itertools.islice(_schedule(), limit):
         # M = Z + Y2 / mu, and its threshold J
         m = y2 / mu
         m += z
@@ -424,18 +428,18 @@ def _fast_forward(s, Vt, opts):
         q = z - j
         q *= mu
         y2 += q
-        mu_trace.append(mu)
         obj_trace.append(float(t.sum()))
-        mu = min(RHO * mu, MU_MAX)
-        # the basis the plain SVT would return: of M^T when M is wide
         kept = t > 0.0
+    # the basis the plain SVT of the last sweep returns: of M^T when M is wide
+    basis = None
+    if obj_trace:
         basis = np.eye(r)[:, kept] if r < n else Vt[kept].T
     # C order, the layout of E and of _run_adm's work arrays (Vt is a
     # transposed view, so a plain product would be Fortran-ordered)
     return _AdmState(Z=np.multiply(z[:, None], Vt, order="C"), E=np.zeros((r, n)),
                      Y1=np.multiply(y1[:, None], Vt, order="C"),
-                     Y2=np.multiply(y2[:, None], Vt, order="C"), mu=mu, basis=basis,
-                     iterations=len(mu_trace), obj_trace=obj_trace, mu_trace=mu_trace)
+                     Y2=np.multiply(y2[:, None], Vt, order="C"), basis=basis,
+                     obj_trace=obj_trace)
 
 
 def solve_lrr_clean(X, A):
@@ -481,12 +485,11 @@ def reduce_dictionary(A):
     return skinny_svd(A)
 
 
-def _finish(X, A, V, Z, E, model, opts, U=None, iterations=0, converged=True, r2=0.0,
-            obj_trace=(), mu_trace=(), warm_sweeps=0):
-    """The :class:`LrrSolution` of a pair ``(Z', E')`` found in the frame
-    of the dictionary; no other code builds one. The keywords after ``U``
-    are :func:`_run_adm`'s record, which an exact answer leaves at their
-    defaults.
+def _finish(X, A, V, state, model, opts, U=None, warm_sweeps=0):
+    """The :class:`LrrSolution` of a solve's record ``state``, whose pair
+    ``(Z', E')`` lies in the frame of the dictionary; no other code builds
+    one. Its traces are the objectives and :func:`_penalties` of the sweeps
+    in ``state``, which an exact answer passes with none.
 
     The objective is taken in the frame, where it equals that of the
     returned pair (``U`` has orthonormal columns, and ``l1`` solves pass
@@ -498,17 +501,19 @@ def _finish(X, A, V, Z, E, model, opts, U=None, iterations=0, converged=True, r2
     answer stays converged at any scale.
     """
     with np.errstate(over="ignore"):
-        objective = float(_raw_svd(Z, compute_uv=False).sum() + opts.lam * error_norm(E, model))
+        objective = float(_raw_svd(state.Z, compute_uv=False).sum()
+                          + opts.lam * error_norm(state.E, model))
     if not math.isfinite(objective):
         raise NumericalError(f"non-finite objective {objective}; rescale the data")
-    Z = V @ Z
-    E = E if U is None else U @ E
+    Z = V @ state.Z
+    E = state.E if U is None else U @ state.E
     feas = float(np.abs(X - A @ Z - E).max())
-    return LrrSolution(Z=Z, E=E, iterations=iterations,
-                       converged=converged and (feas < opts.eps or iterations == 0),
-                       final_residuals=(feas, r2), objective=objective,
-                       objective_trace=np.asarray(obj_trace), mu_trace=np.asarray(mu_trace),
-                       warm_sweeps=warm_sweeps)
+    sweeps = len(state.obj_trace)
+    return LrrSolution(Z=Z, E=E, iterations=sweeps,
+                       converged=not sweeps or (state.converged and feas < opts.eps),
+                       final_residuals=(feas, state.r2), objective=objective,
+                       objective_trace=np.asarray(state.obj_trace),
+                       mu_trace=_penalties(sweeps), warm_sweeps=warm_sweeps)
 
 
 def _frobenius_self(X, f, opts):
@@ -527,8 +532,8 @@ def _frobenius_self(X, f, opts):
     # (s / c) / c, which does not underflow before 1 / (2 lam s) does.
     w = 1.0 / np.maximum(f.sigma * math.sqrt(2.0 * opts.lam), 1.0)
     Vt = f.V.T
-    return _finish(X, X, f.V, (1.0 - w * w)[:, None] * Vt, (f.sigma * w * w)[:, None] * Vt,
-                   "frobenius_sq", opts, f.U)
+    exact = _AdmState(Z=(1.0 - w * w)[:, None] * Vt, E=(f.sigma * w * w)[:, None] * Vt)
+    return _finish(X, X, f.V, exact, "frobenius_sq", opts, f.U)
 
 
 def solve_lrr_self(X, model="l21", opts=None):
@@ -537,21 +542,20 @@ def solve_lrr_self(X, model="l21", opts=None):
     The minimizer lies in the row space of X, so with ``X = U S V^T`` the
     problem is solved exactly for ``Z = V Z'``. ``l1``, which is not
     rotation-invariant, is :func:`solve_lrr` on ``(X, X)``: one ADM on ``X``
-    with the dictionary ``X V = U S`` and a row-scaling Z-step.
-    The other two models have self-only shortcuts. ``frobenius_sq`` has a
-    closed form in that SVD and runs no ADM: the result has
-    ``iterations=0``, ``converged=True``, empty traces and
-    ``final_residuals[1] = 0``. For
+    with the dictionary ``X V = U S`` and a row-scaling Z-step. The other
+    two models have self-only shortcuts. ``frobenius_sq`` has a closed form
+    in that SVD and runs no ADM: the result has ``iterations=0``,
+    ``converged=True``, empty traces and ``final_residuals[1] = 0``. For
     ``l21`` every iterate of E also stays in span(U) and the penalty is
     invariant under U, so the ambient rows drop out too: the ADM runs on
     ``S V^T`` with dictionary ``diag(S)`` from the zero state and
     ``E = U E'``. Its leading sweeps, while the E-step returns zero, are
     run in closed form on vectors of length r (:func:`_fast_forward`;
-    ``warm_sweeps`` counts them), and :func:`_run_adm` runs the rest from
-    there. The result is that of the plain loop from the zero state to
-    roundoff, with the same ``iterations``, ``converged`` and ``mu_trace``.
-    That loop stops only once the residual on X, ``U R'`` for the frame
-    residual ``R'``, is below ``opts.eps`` as well.
+    ``warm_sweeps`` counts them), and :func:`_run_adm` runs the rest on the
+    same record. The result is that of the plain loop from the zero state
+    to roundoff, with the same ``iterations``, ``converged`` and
+    ``mu_trace``. That loop stops only once the residual on X, ``U R'`` for
+    the frame residual ``R'``, is below ``opts.eps`` as well.
     Every path ends in :func:`_finish`: the feasibility residual
     ``final_residuals[0]`` is measured on X itself, an ADM solve stays
     ``converged`` only if it is below ``opts.eps``, and an objective that
@@ -571,10 +575,9 @@ def solve_lrr_self(X, model="l21", opts=None):
         # set up first: an overflowing I + S^2 raises before the fast-forward
         ops = _z_step(None, f.sigma)
         state = _fast_forward(f.sigma, Vt, opts)
-        warm_sweeps = state.iterations
-        Z, E, loop = _run_adm(np.multiply(f.sigma[:, None], Vt, order="C"), ops, model, opts,
-                              state, f.U)
-        return _finish(X, X, f.V, Z, E, model, opts, f.U, warm_sweeps=warm_sweeps, **loop)
+        warm_sweeps = len(state.obj_trace)
+        _run_adm(np.multiply(f.sigma[:, None], Vt, order="C"), ops, model, opts, state, f.U)
+        return _finish(X, X, f.V, state, model, opts, f.U, warm_sweeps=warm_sweeps)
 
 
 def lambda_outlier_default(X, gamma_star):

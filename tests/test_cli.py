@@ -461,6 +461,21 @@ class TestDetectOutliersCommand:
                      "--truth", str(f_path), "--output", str(out)]) == 2
         assert not out.exists()
 
+    def test_truth_not_0_1_exit_2_before_solving(self, tmp_path, monkeypatch):
+        # class ids are not outlier flags: ids 1 and 2 would count as outliers
+        _, x_path, _ = write_dataset(tmp_path)
+        f_path = tmp_path / "ids.csv"
+        matio.write_matrix_csv(f_path, np.repeat([0.0, 1.0, 2.0], 6).reshape(-1, 1))
+
+        def no_solve(*args):
+            raise AssertionError("solved before checking --truth")
+
+        monkeypatch.setattr(solver, "solve_lrr_self", no_solve)
+        out = tmp_path / "o"
+        assert main(["detect-outliers", "--input", x_path, "--lambda", "0.6",
+                     "--truth", str(f_path), "--output", str(out)]) == 2
+        assert not out.exists()
+
     def test_bad_delta_exit_2_before_solving(self, tmp_path, monkeypatch):
         _, x_path, _ = write_dataset(tmp_path, outliers=4)
 

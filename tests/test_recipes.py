@@ -103,11 +103,6 @@ def test_fig6_factor_of_z_matches_public_functions(fig6_run):
     assert np.array_equal(out.tables["affinity"], cluster.build_affinity(sol.Z))
 
 
-def test_unknown_figure():
-    with pytest.raises(ValueError):
-        recipes.run_replication("fig9")
-
-
 def test_recipe_determinism():
     a = recipes.replicate_fig3(seed=4)
     b = recipes.replicate_fig3(seed=4)

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 
 import hypothesis
 import hypothesis.strategies as st
@@ -66,11 +67,32 @@ class TestSolverOptions:
             {"lam": 1.0, "max_iters": -1},
             {"lam": 1.0, "eps": 0.0},
             {"lam": 1.0, "max_iters": 0},
+            {"lam": float("inf")},
+            {"lam": 1.0, "eps": float("inf")},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             solver.SolverOptions(**kwargs)
+
+    @hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.one_of(st.integers(0, 400), st.integers(0, 10**5)))
+    @hypothesis.example(0)
+    @hypothesis.example(10**5)
+    def test_penalties_are_the_iterative_schedule(self, count):
+        # Algorithm 1's update, one sweep at a time, is the reference
+        expected, mu = [], solver.MU_INIT
+        for _ in range(count):
+            expected.append(mu)
+            mu = min(solver.RHO * mu, solver.MU_MAX)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mu_trace = solver._penalties(count)
+        assert mu_trace.dtype == np.float64 and mu_trace.shape == (count,)
+        assert mu_trace.tolist() == expected
+        assert (np.diff(mu_trace) >= 0).all() and (mu_trace <= solver.MU_MAX).all()
+        if count > 300:
+            assert mu_trace[-1] == solver.MU_MAX
 
 
 class TestSolveLrr:
@@ -386,9 +408,9 @@ class TestConvergedFlag:
         assert_reported_residual(sol, X, X, opts.eps)
         f = linalg.skinny_svd(X)
         X_r = np.multiply(f.sigma[:, None], f.V.T, order="C")
-        Z, E, loop = solver._run_adm(X_r, solver._z_step(None, f.sigma), "l21", opts,
-                                     solver._zero_state(X_r, f.rank))
-        frame_only = solver._finish(X, X, f.V, Z, E, "l21", opts, f.U, **loop)
+        state = solver._run_adm(X_r, solver._z_step(None, f.sigma), "l21", opts,
+                                solver._zero_state(X_r, f.rank))
+        frame_only = solver._finish(X, X, f.V, state, "l21", opts, f.U)
         assert frame_only.iterations == sol.iterations - 1 and not frame_only.converged
 
     @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -616,9 +638,9 @@ def plain_self_l21(X, opts):
     sweep fast-forwarded, and mapped back to X the same way."""
     f = linalg.skinny_svd(X)
     X_r = f.sigma[:, None] * f.V.T
-    Z, E, loop = solver._run_adm(X_r, solver._z_step(None, f.sigma), "l21", opts,
-                                 solver._zero_state(X_r, f.rank), f.U)
-    return solver._finish(X, X, f.V, Z, E, "l21", opts, f.U, **loop)
+    state = solver._run_adm(X_r, solver._z_step(None, f.sigma), "l21", opts,
+                            solver._zero_state(X_r, f.rank), f.U)
+    return solver._finish(X, X, f.V, state, "l21", opts, f.U)
 
 
 def assert_same_solve(fast, plain, X):
@@ -691,13 +713,15 @@ class TestFastForward:
 
     def test_loop_receives_c_ordered_arrays(self, monkeypatch):
         # V^T is a transposed view, and a product with it is Fortran-ordered
-        # unless asked otherwise; the loop's work arrays and E are C-ordered
+        # unless asked otherwise; the loop's work arrays and E are C-ordered.
+        # The loop updates the fast-forward's record and returns it.
         real = solver._run_adm
         seen = []
 
         def capturing(X, ops, model, opts, state, U=None):
             seen.append((X, state.Z, state.E, state.Y1, state.Y2))
-            return real(X, ops, model, opts, state, U)
+            assert real(X, ops, model, opts, state, U) is state
+            return state
 
         monkeypatch.setattr(solver, "_run_adm", capturing)
         for shape in ("tall", "wide", "rank_deficient"):
