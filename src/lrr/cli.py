@@ -69,9 +69,16 @@ def _add_io_args(p, dictionary=True):
                    help="scale every input column to unit length before solving")
 
 
+def _seed(text):
+    """A ``--seed`` value: a non-negative integer, checked before any work."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=_seed, default=0,
                         help="k-means seed of segment, data seed of replicate (default:"
                              " 0); solve and detect-outliers only echo it")
     common.add_argument("--output", required=True, help="output directory")
@@ -91,7 +98,7 @@ def build_parser():
                    help="soft threshold for estimating the cluster count")
     p.add_argument("--delta", type=float, default=None,
                    help="column-norm threshold for outlier detection")
-    p.add_argument("--truth", default=None, help="ground-truth labels CSV")
+    p.add_argument("--truth", default=None, help="labels CSV; a negative id marks an outlier")
 
     p = sub.add_parser("detect-outliers", parents=[common],
                        help="solve + outlier thresholding")
@@ -145,73 +152,71 @@ def cmd_solve(args):
     return {"Z": sol.Z, "E": sol.E}, sol, {}
 
 
-def cmd_segment(args):
-    X = _load_input(args)
+def _outlier_step(args, X, flags):
+    """The outlier step of ``segment`` and ``detect-outliers``. Before the
+    solve, reads ``--truth`` (``None`` without it), takes its outlier flags
+    ``flags(truth)`` and checks ``--delta``; returns the truth and ``score``.
+    ``score(E)`` returns E's column norms and the step's ``result.json``
+    fields: the columns above ``--delta`` and the AUC of the norms against
+    the flags, each ``None`` with a reason where undefined."""
     truth = _read_truth(args, X)
-    opts = _solver_options(args)
-    k = args.k if args.k == "auto" else int(args.k)
-    result = cluster.segment(X, k, args.model, opts, tau=args.tau, delta=args.delta,
-                             seed=args.seed)
+    positive = None if truth is None else flags(truth)
+    if args.delta is not None:
+        cluster._check_delta(args.delta)
 
-    metric_values = {"k_hat": result.k_hat, "k_used": result.k,
-                     "accuracy": None, "auc": None}
-    reasons = {}
-    if truth is not None:
-        auth = truth >= 0
-        if auth.any():
-            metric_values["accuracy"] = metrics.segmentation_accuracy(
-                result.labels[auth], truth[auth]
-            )
+    def score(E):
+        scores = np.linalg.norm(E, axis=0)
+        values, reasons = {"auc": None}, {}
+        if positive is None:
+            reasons["auc"] = "no ground truth"
         else:
-            reasons["accuracy"] = "truth file holds no authentic samples"
-        if result.outliers is not None:
             try:
-                scores = np.linalg.norm(result.solution.E, axis=0)
-                metric_values["auc"] = metrics.auc(scores, truth < 0)
+                values["auc"] = metrics.auc(scores, positive)
             except UndefinedMetricError as exc:
                 reasons["auc"] = str(exc)
-        else:
-            reasons["auc"] = "no delta provided"
-    else:
-        reasons["accuracy"] = "no ground truth"
-        reasons["auc"] = "no ground truth"
+        outliers = None if args.delta is None else cluster.detect_outliers(E, args.delta)
+        return scores, {"metrics": values, "metric_reasons": reasons, "outliers": outliers}
 
+    return truth, score
+
+
+def cmd_segment(args):
+    X = _load_input(args)
+    truth, score = _outlier_step(args, X, lambda truth: truth < 0)
+    result = cluster.segment(X, args.k, args.model, _solver_options(args), tau=args.tau,
+                             seed=args.seed)
+    _, fields = score(result.solution.E)
+    values, reasons = fields["metrics"], fields["metric_reasons"]
+    values.update(k_hat=result.k_hat, k_used=result.k, accuracy=None)
+    auth = None if truth is None else truth >= 0
+    if auth is None:
+        reasons["accuracy"] = "no ground truth"
+    elif auth.any():
+        values["accuracy"] = metrics.segmentation_accuracy(result.labels[auth], truth[auth])
+    else:
+        reasons["accuracy"] = "truth file holds no authentic samples"
     return {"labels": result.labels.reshape(-1, 1)}, result.solution, {
-        "metrics": metric_values, "metric_reasons": reasons,
-        "labels": result.labels, "outliers": result.outliers}
+        **fields, "labels": result.labels}
 
 
 def cmd_detect_outliers(args):
+    def flags(truth):
+        if not np.isin(truth, (0, 1)).all():
+            raise ValueError(f"{args.truth} holds values other than the 0/1 outlier flags")
+        return truth
+
     X = _load_input(args)
-    truth = _read_truth(args, X)
-    if truth is not None and not np.isin(truth, (0, 1)).all():
-        raise ValueError(f"{args.truth} holds values other than the 0/1 outlier flags")
-    if args.delta is not None:
-        cluster._check_delta(args.delta)
+    truth, score = _outlier_step(args, X, flags)
     sol = _solve(args, X)
-    scores = np.linalg.norm(sol.E, axis=0)
-
-    outliers = None
-    metric_values = {"auc": None, "n_detected": None}
-    reasons = {}
-    if args.delta is not None:
-        outliers = cluster.detect_outliers(sol.E, args.delta)
-        metric_values["n_detected"] = int(outliers.size)
-    else:
-        reasons["n_detected"] = "no delta provided"
+    scores, fields = score(sol.E)
     csvs = {"scores": scores.reshape(1, -1)}
-    if truth is not None:
-        truth = truth.astype(bool)
-        try:
-            metric_values["auc"] = metrics.auc(scores, truth)
-            csvs["roc"] = metrics.roc_sweep(scores, truth)
-        except UndefinedMetricError as exc:
-            reasons["auc"] = str(exc)
-    else:
-        reasons["auc"] = "no ground truth"
-
-    return csvs, sol, {"metrics": metric_values, "metric_reasons": reasons,
-                       "outliers": outliers}
+    if fields["metrics"]["auc"] is not None:
+        csvs["roc"] = metrics.roc_sweep(scores, truth)
+    outliers = fields["outliers"]
+    fields["metrics"]["n_detected"] = None if outliers is None else int(outliers.size)
+    if outliers is None:
+        fields["metric_reasons"]["n_detected"] = "no delta provided"
+    return csvs, sol, fields
 
 
 def cmd_replicate(args):

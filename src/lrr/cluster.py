@@ -27,8 +27,8 @@ def _check_delta(delta):
 
 
 def _check_k(k, n):
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
+        raise ValueError(f"k must be an integer in [1, {n}], got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,10 @@ class SegmentationResult:
     """Labels of :func:`segment` and the stages behind them: the solver's
     ``solution``, the n x n ``affinity`` W, the sorted Laplacian
     ``spectrum`` and the cluster count ``k_hat`` estimated from it. ``k`` is
-    the count the labels use; ``outliers`` is ``None`` without ``delta``."""
+    the count the labels use. Outliers: :func:`detect_outliers` of ``solution.E``."""
 
     labels: np.ndarray
     k: int
-    outliers: np.ndarray | None
     k_hat: int
     solution: LrrSolution
     affinity: np.ndarray
@@ -221,24 +220,22 @@ def detect_outliers(E_star, delta):
     return np.flatnonzero(np.linalg.norm(E, axis=0) > delta)
 
 
-def segment(X, k, model="l21", opts=None, tau=DEFAULT_TAU, delta=None, seed=0):
+def segment(X, k, model="l21", opts=None, tau=DEFAULT_TAU, seed=0):
     """End-to-end pipeline: self-expressive solve, affinity, optional
-    cluster-count estimation (``k="auto"``), spectral segmentation (k-means
-    seeded by ``seed``), and optional outlier detection (when ``delta`` is
-    given).
+    cluster-count estimation (``k="auto"``; else an integer, or a string
+    such as ``"3"``), and spectral segmentation (k-means seeded by
+    ``seed``). Outliers are a step of their own: :func:`detect_outliers`.
 
-    ``tau``, ``delta`` and an integer ``k`` are checked before the solve.
+    ``tau`` and an integer ``k`` are checked before the solve.
     A small X runs every stage on one BLAS thread, as the solvers do.
     Returns a :class:`SegmentationResult` carrying labels plus every
     intermediate product as diagnostics.
     """
     X = as_matrix(X, "X")
     _check_tau(tau)
-    if delta is not None:
-        _check_delta(delta)
     auto = isinstance(k, str) and k == "auto"
     if not auto:
-        k = int(k)
+        k = int(k) if isinstance(k, str) else k
         _check_k(k, X.shape[1])
     with _blas_threads(X.size):
         sol = solve_lrr_self(X, model, opts)
@@ -247,11 +244,9 @@ def segment(X, k, model="l21", opts=None, tau=DEFAULT_TAU, delta=None, seed=0):
         k_hat = estimate_k(spectrum, tau)
         k_used = k_hat if auto else k
         labels = ncut_segment(W, k_used, seed)
-    outliers = detect_outliers(sol.E, delta) if delta is not None else None
     return SegmentationResult(
         labels=labels,
         k=k_used,
-        outliers=outliers,
         k_hat=k_hat,
         solution=sol,
         affinity=W,

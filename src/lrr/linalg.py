@@ -475,8 +475,8 @@ def svt(M, theta):
     This is the proximal operator of the nuclear norm: the unique minimizer
     of ``theta * ||J||_* + 0.5 * ||J - M||_F^2``.
     """
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
+    if not theta >= 0:
+        raise ValueError(f"theta must be nonnegative, got {theta}")
     return svt_with_nuclear(as_matrix(M), theta)[0]
 
 
@@ -488,8 +488,8 @@ def column_shrink(Q, alpha):
     ``alpha * ||W||_{2,1} + 0.5 * ||W - Q||_F^2``. Zero columns map to zero
     columns.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not alpha >= 0:
+        raise ValueError(f"alpha must be nonnegative, got {alpha}")
     return _column_shrink(as_matrix(Q), alpha)[0]
 
 
@@ -508,8 +508,8 @@ def _column_shrink(Q, alpha):
 def entry_shrink(Q, alpha):
     """Entrywise soft threshold ``sign(q) * max(|q| - alpha, 0)``, the
     proximal operator of the l1 norm."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not alpha >= 0:
+        raise ValueError(f"alpha must be nonnegative, got {alpha}")
     return _entry_shrink(as_matrix(Q), alpha)[0]
 
 

@@ -82,8 +82,8 @@ class SolverOptions:
             raise ValueError("lam must be positive and finite")
         if not 0 < self.eps < math.inf:
             raise ValueError("eps must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from lrr import cluster, matio, metrics, solver, synth
+from lrr import cluster, matio, metrics, recipes, solver, synth
 from lrr.cli import main
 
 # Top-level keys of result.json, as documented in the README.
@@ -423,6 +423,21 @@ class TestSegmentCommand:
         assert accuracy == metrics.segmentation_accuracy(labels, ds.true_labels)
         assert accuracy < 1.0
 
+    def test_auc_needs_truth_only(self, tmp_path):
+        # segment scores E's column norms against truth < 0 as
+        # detect-outliers scores them against its 0/1 flags; neither reads --delta
+        ds, x_path, t_path = write_dataset(tmp_path, outliers=4)
+        f_path = tmp_path / "flags.csv"
+        matio.write_matrix_csv(f_path, (ds.true_labels < 0).astype(float).reshape(-1, 1))
+        seg, det = tmp_path / "seg", tmp_path / "det"
+        assert main(["segment", "--input", x_path, "--lambda", "0.6", "--k", "3",
+                     "--truth", t_path, "--output", str(seg)]) == 0
+        assert main(["detect-outliers", "--input", x_path, "--lambda", "0.6",
+                     "--truth", str(f_path), "--output", str(det)]) == 0
+        auc = matio.read_json(seg / "result.json")["metrics"]["auc"]
+        assert auc is not None
+        assert auc == matio.read_json(det / "result.json")["metrics"]["auc"]
+
 
 class TestDetectOutliersCommand:
     def test_with_truth_and_delta(self, tmp_path):
@@ -540,6 +555,29 @@ def test_result_record_keys(tmp_path, command, args):
 class TestUsage:
     def test_no_command_exit_2(self):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--self", "--lambda", "1000"],
+        ["segment", "--k", "3", "--lambda", "1000"],
+        ["segment", "--k", "1", "--lambda", "1000"],
+        ["replicate", "--figure", "fig3"],
+    ])
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    def test_bad_seed_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys, argv, seed):
+        _, x_path, _ = write_dataset(tmp_path)
+
+        def no_work(*args):
+            raise AssertionError("worked before checking --seed")
+
+        monkeypatch.setattr(solver, "solve_lrr_self", no_work)
+        monkeypatch.setattr(cluster, "solve_lrr_self", no_work)
+        monkeypatch.setattr(matio, "read_matrix_csv", no_work)
+        monkeypatch.setitem(recipes.RECIPES, "fig3", no_work)
+        inputs = [] if argv[0] == "replicate" else ["--input", x_path]
+        out = tmp_path / "o"
+        assert main([*argv, *inputs, "--seed", seed, "--output", str(out)]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_flag_exit_2(self, tmp_path):
         assert main(["solve", "--frobnicate"]) == 2

@@ -150,6 +150,13 @@ class TestNcutSegment:
         with pytest.raises(ValueError):
             cluster.ncut_segment(np.ones((4, 4)), 5)
 
+    def test_k_not_an_integer(self):
+        W = block_affinity(5, 7)
+        with pytest.raises(ValueError, match="integer"):
+            cluster.ncut_segment(W, 2.5)
+        assert np.array_equal(cluster.ncut_segment(W, np.int64(2), seed=0),
+                              cluster.ncut_segment(W, 2, seed=0))
+
     def test_label_permutation_covariance_across_seeds(self):
         W = block_affinity(6, 6, 6)
         base = cluster.ncut_segment(W, 3, seed=0)
@@ -198,6 +205,14 @@ def clean3():
 
 
 class TestSegmentPipeline:
+    def test_non_integer_k_rejected_before_solving(self, clean3, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved before checking k")
+
+        monkeypatch.setattr(cluster, "solve_lrr_self", no_solve)
+        with pytest.raises(ValueError, match="integer"):
+            cluster.segment(clean3.X, 2.5)
+
     def test_clean_three_subspaces_exact(self, clean3):
         res = cluster.segment(clean3.X, 3, "l21", solver.SolverOptions(lam=1e3))
         assert metrics.segmentation_accuracy(res.labels, clean3.true_labels) == 1.0
@@ -213,13 +228,14 @@ class TestSegmentPipeline:
     def test_outlier_detection_in_pipeline(self, clean3):
         ds = synth.add_outliers(clean3, 4, magnitude_scale=3.0, seed=23)
         ds = synth.normalize_columns(ds)
-        res = cluster.segment(ds.X, 3, "l21", solver.SolverOptions(lam=0.4), delta=0.3)
-        assert res.outliers is not None
-        assert np.array_equal(res.outliers, ds.outlier_indices)
+        res = cluster.segment(ds.X, 3, "l21", solver.SolverOptions(lam=0.4))
+        assert np.array_equal(cluster.detect_outliers(res.solution.E, 0.3),
+                              ds.outlier_indices)
 
     def test_diagnostics_recorded(self, clean3):
         res = cluster.segment(clean3.X, 3, "l21", solver.SolverOptions(lam=1e3))
         assert res.solution is not None and res.solution.converged
         assert res.affinity is not None and res.affinity.shape == (24, 24)
         assert res.spectrum is not None and res.spectrum.size == 24
-        assert res.outliers is None  # no delta given
+        assert not hasattr(res, "outliers")  # a step of its own
+        assert cluster.detect_outliers(res.solution.E, 0.3).size == 0

@@ -296,6 +296,13 @@ class TestSvt:
         with pytest.raises(ValueError):
             linalg.svt(np.eye(2), -0.1)
 
+    def test_nan_theta_rejected(self):
+        with pytest.raises(ValueError, match="theta"):
+            linalg.svt(rand((3, 4), 7), np.nan)
+
+    def test_infinite_theta_zeroes(self):
+        assert not linalg.svt(rand((3, 4), 7), np.inf).any()
+
     def test_frobenius_certificate_skips_svd(self, monkeypatch):
         def no_svd(M):
             raise AssertionError("SVD ran inside the Frobenius ball")
@@ -541,6 +548,11 @@ class TestSvt:
 
 
 class TestColumnShrink:
+    @pytest.mark.parametrize("alpha", [-0.1, np.nan])
+    def test_negative_or_nan_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            linalg.column_shrink(rand((3, 4), 7), alpha)
+
     def test_single_column_closed_form(self):
         out = linalg.column_shrink(np.array([[0.0], [2.0]]), 0.5)
         np.testing.assert_allclose(out, np.array([[0.0], [1.5]]), atol=1e-15)
@@ -591,6 +603,11 @@ class TestColumnShrink:
 
 
 class TestEntryShrink:
+    @pytest.mark.parametrize("alpha", [-0.1, np.nan])
+    def test_negative_or_nan_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            linalg.entry_shrink(rand((3, 4), 7), alpha)
+
     def test_small_entry_zeroed(self):
         assert linalg.entry_shrink(np.array([[0.3]]), 0.5)[0, 0] == 0.0
 

@@ -69,11 +69,16 @@ class TestSolverOptions:
             {"lam": 1.0, "max_iters": 0},
             {"lam": float("inf")},
             {"lam": 1.0, "eps": float("inf")},
+            {"lam": 1.0, "max_iters": 2.5},
+            {"lam": 1.0, "max_iters": 1000.0},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             solver.SolverOptions(**kwargs)
+
+    def test_numpy_integer_max_iters_accepted(self):
+        assert solver.SolverOptions(lam=1.0, max_iters=np.int64(5)).max_iters == 5
 
     @hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @hypothesis.given(st.one_of(st.integers(0, 400), st.integers(0, 10**5)))
