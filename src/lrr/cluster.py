@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _blas_threads, as_matrix, skinny_svd
+from .linalg import _blas_threads, _low_rank_svd, as_matrix
 from .solver import SOLUTION_RANK_TOL, LrrSolution, solve_lrr_self
 
 DEFAULT_TAU = 0.08
@@ -50,21 +50,26 @@ def build_affinity(Z_star):
     """Affinity from a representation matrix.
 
     Factor ``Z* = U S V^T`` (skinny, singular values up to
-    ``SOLUTION_RANK_TOL * sigma_max`` dropped), weight the columns of U by
-    sqrt(S), scale each row to unit length (zero rows stay zero), and square
-    the resulting Gram matrix entrywise:
+    ``SOLUTION_RANK_TOL * sigma_max`` dropped; from a certified sketch when
+    Z* has low rank, see :func:`~lrr.linalg._low_rank_svd`), weight the
+    columns of U by sqrt(S), scale each row to unit length (zero rows stay
+    zero), and square the resulting Gram matrix entrywise:
 
         W_ij = ([U_tilde U_tilde^T]_ij)^2
 
     Returns the n x n array W for an n-row input. Squaring makes every
     entry nonnegative, and the entries lie in [0, 1]. W is exactly symmetric
-    by construction. A zero input yields the zero matrix.
+    by construction. A zero input yields the zero matrix. A small Z* is
+    factored on one BLAS thread, as in :func:`segment` and the recipes, so
+    W has the same bits there and here.
     """
-    return _affinity(skinny_svd(as_matrix(Z_star, "Z_star"), SOLUTION_RANK_TOL))
+    Z_star = as_matrix(Z_star, "Z_star")
+    with _blas_threads(Z_star.size):
+        return _affinity(_low_rank_svd(Z_star, SOLUTION_RANK_TOL))
 
 
 def _affinity(f):
-    """:func:`build_affinity` from the factor ``f = skinny_svd(Z_star,
+    """:func:`build_affinity` from the factor ``f = _low_rank_svd(Z_star,
     SOLUTION_RANK_TOL)``, for callers that factor ``Z_star`` once for
     several uses."""
     n = f.U.shape[0]
@@ -226,8 +231,10 @@ def segment(X, k, model="l21", opts=None, tau=DEFAULT_TAU, seed=0):
     such as ``"3"``), and spectral segmentation (k-means seeded by
     ``seed``). Outliers are a step of their own: :func:`detect_outliers`.
 
-    ``tau`` and an integer ``k`` are checked before the solve.
-    A small X runs every stage on one BLAS thread, as the solvers do.
+    ``tau`` and an integer ``k`` are checked before the solve. Every stage
+    runs on one BLAS thread when the n x n arrays that the affinity and the
+    spectral steps touch are small (see :func:`~lrr.linalg._blas_threads`),
+    whatever the ambient dimension of X.
     Returns a :class:`SegmentationResult` carrying labels plus every
     intermediate product as diagnostics.
     """
@@ -237,7 +244,7 @@ def segment(X, k, model="l21", opts=None, tau=DEFAULT_TAU, seed=0):
     if not auto:
         k = int(k) if isinstance(k, str) else k
         _check_k(k, X.shape[1])
-    with _blas_threads(X.size):
+    with _blas_threads(X.shape[1] ** 2):
         sol = solve_lrr_self(X, model, opts)
         W = build_affinity(sol.Z)
         spectrum = laplacian_spectrum(W)

@@ -6,7 +6,8 @@ All functions are pure: they never mutate their arguments and hold no state,
 so they are safe to call concurrently. The one piece of state in the module
 is the depth count of :func:`_blas_threads`, the scope in which the solvers,
 the segmentation and the recipes run small inputs on one BLAS thread; it is
-kept under a lock.
+kept under a lock. :func:`_gaussian` also keeps the fixed-seed blocks it
+has drawn, read-only.
 """
 
 import contextlib
@@ -22,14 +23,17 @@ from .errors import NumericalError
 NORM_KINDS = ("l1", "l21", "frobenius", "spectral")
 
 _EPS = np.finfo(np.float64).eps
+_SQRT_EPS = math.sqrt(_EPS)
 
-# Inputs with fewer entries than this (2 MiB of float64) run their BLAS
-# calls on one thread. On 2 cores the second OpenBLAS thread spins between
-# the small calls of a sweep: one thread cut the bench's CPU time per round
-# from 0.68 to 0.37 s on cli_pipeline (inputs up to 100x108) and from 2.08
-# to 1.06 s on fig4_grid (200x250), wall time staying within the host's
-# spread, while fig6's 2000x500 solve took 2.6-2.8 s wall on one thread
-# against 2.3-2.5 s on two, so it keeps the caller's threading.
+# A scope whose repeated work touches arrays of fewer entries than this
+# (2 MiB of float64) runs its BLAS calls on one thread. Each scope is sized
+# by those arrays, not by the data: the r x n frame of a self solve's
+# sweeps, the n x n representation and affinity of a segmentation or a
+# recipe. On 2 cores the second OpenBLAS thread spins between the small
+# calls of a sweep: one thread cut the bench's CPU time per round from 0.68
+# to 0.37 s on cli_pipeline (inputs up to 100x108), from 2.08 to 1.06 s on
+# fig4_grid (200x250) and from 3.32 to 1.88 s on fig6_direct (2000x500 data,
+# 500x500 sweeps), wall time moving by -10% to +5%.
 _ONE_THREAD_BELOW = 2**18
 
 # Exported thread-count getters and setters of OpenBLAS builds, NumPy's own
@@ -157,6 +161,25 @@ def _raw_svd(M, compute_uv=True):
         raise NumericalError(f"SVD failed to converge on a {d}x{n} matrix") from exc
 
 
+def _rank_cut(shape, rank_tol):
+    """The relative cut of ``skinny_svd(M, rank_tol)`` for an ``M`` of this
+    shape, checked."""
+    if rank_tol is None:
+        return max(shape) * _EPS
+    if not 0 <= rank_tol < np.inf:
+        raise ValueError(f"rank_tol must be finite and nonnegative, got {rank_tol}")
+    return rank_tol
+
+
+def _signed(U, s, V):
+    """``SkinnySvd(U, s, V)`` with the columns whose first nonzero entry of
+    ``U`` is negative negated in ``U`` and ``V`` (both are written)."""
+    flip = U[np.argmax(U != 0, axis=0), np.arange(s.size)] < 0
+    U[:, flip] *= -1.0
+    V[:, flip] *= -1.0
+    return SkinnySvd(U, s, V)
+
+
 def skinny_svd(M, rank_tol=None):
     """Skinny SVD of ``M``, dropping singular values ``<= rank_tol * sigma_max``.
 
@@ -175,21 +198,81 @@ def skinny_svd(M, rank_tol=None):
     SkinnySvd
     """
     M = as_matrix(M)
-    if rank_tol is None:
-        rank_tol = max(M.shape) * _EPS
-    elif not 0 <= rank_tol < np.inf:
-        raise ValueError(f"rank_tol must be finite and nonnegative, got {rank_tol}")
+    cut = _rank_cut(M.shape, rank_tol)
     U, s, Vt = _raw_svd(M)
     # s[0] = 0 keeps no value, since none is above 0
-    r = int(np.count_nonzero(s > rank_tol * s[0]))
-    U = U[:, :r].copy()
-    s = s[:r].copy()
-    V = Vt[:r].T.copy()
-    # negate the columns whose first nonzero entry of U is negative
-    flip = U[np.argmax(U != 0, axis=0), np.arange(r)] < 0
-    U[:, flip] *= -1.0
-    V[:, flip] *= -1.0
-    return SkinnySvd(U, s, V)
+    r = int(np.count_nonzero(s > cut * s[0]))
+    return _signed(U[:, :r].copy(), s[:r].copy(), Vt[:r].T.copy())
+
+
+# The range finder of _low_rank_svd: a fixed-seed Gaussian test matrix of
+# this many columns, trusted only when the rank it finds leaves at least
+# this many spare.
+_SKETCH_WIDTH = 64
+_SKETCH_SPARE = 16
+
+
+@functools.lru_cache(maxsize=32)
+def _gaussian(rows, cols):
+    """``np.random.default_rng(0).standard_normal((rows, cols))``, drawn once
+    per shape and read-only: the fixed-seed test matrices of the SVT's warm
+    start and of :func:`_low_rank_svd`, which thus stay functions of their
+    inputs."""
+    block = np.random.default_rng(0).standard_normal((rows, cols))
+    block.flags.writeable = False
+    return block
+
+
+def _low_rank_svd(M, rank_tol=None):
+    """``skinny_svd(M, rank_tol)`` from a sketch when one is certified to
+    keep the same singular values; for matrices of low rank next to their
+    size, such as a converged representation ``Z`` or the clean part of a
+    synthetic dataset.
+
+    The range finder of Halko, Martinsson and Tropp (SIAM Review, 2011):
+    ``Q R = M Omega`` for a fixed-seed Gaussian ``Omega`` of
+    ``_SKETCH_WIDTH`` (64) columns, and ``B = Q^T M``. With ``delta = ||M -
+    Q B||_F`` plus the rounding of the SVD of ``B`` (``w eps sigma_1(B)``
+    for its ``w`` rows), Weyl's inequality puts every ``sigma_i(M)`` within
+    ``delta`` of ``sigma_i(B)``, zero past the ``w``-th. The sketch answers
+    with ``U = Q U_B``, ``S_B`` and ``V_B`` of the SVD of ``B`` only if the
+    kept ``r`` values of ``B`` stay above ``skinny_svd``'s cut and the rest
+    stay below it across that interval, and if ``r`` leaves
+    ``_SKETCH_SPARE`` (16) columns of ``Omega`` spare. It then has the rank
+    of ``skinny_svd(M, rank_tol)``, and its singular values and projector
+    ``U U^T`` agree with the dense ones to roundoff plus ``delta``, the
+    size of the singular values it drops. Signs follow :class:`SkinnySvd`.
+
+    The dense ``skinny_svd(M, rank_tol)`` answers instead when the sketch
+    is not certified, when ``min(M.shape) <= 64``, and, before ``B`` is
+    formed, when more than 48 diagonal entries of ``R`` exceed the cut (at
+    least ``sqrt(eps)``) times the largest: ``M Omega`` then has more
+    directions above the cut than the sketch can certify. Raises as
+    :func:`skinny_svd` does.
+    """
+    M = as_matrix(M)
+    cut = _rank_cut(M.shape, rank_tol)
+    d, n = M.shape
+    if min(d, n) <= _SKETCH_WIDTH:
+        return skinny_svd(M, rank_tol)
+    Q, R = np.linalg.qr(M @ _gaussian(n, _SKETCH_WIDTH))
+    spread = np.abs(np.diag(R))
+    # the rounding of M Omega can leave the trailing entries of R of an
+    # exactly low-rank M near 1e4 eps, so a smaller cut counts from sqrt(eps)
+    if (np.count_nonzero(spread > max(cut, _SQRT_EPS) * spread.max())
+            > _SKETCH_WIDTH - _SKETCH_SPARE):
+        return skinny_svd(M, rank_tol)
+    B = Q.T @ M
+    f = skinny_svd(B, 0.0)
+    r = int(np.count_nonzero(f.sigma > cut * f.sigma[0])) if f.rank else 0
+    if 0 < r <= _SKETCH_WIDTH - _SKETCH_SPARE:
+        top = f.sigma[0]
+        below = f.sigma[r] if r < f.rank else 0.0
+        delta = np.linalg.norm(M - Q @ B) + _SKETCH_WIDTH * _EPS * top
+        if (f.sigma[r - 1] - delta > cut * (top + delta)
+                and below + delta < cut * (top - delta)):
+            return _signed(Q @ f.U[:, :r], f.sigma[:r].copy(), f.V[:, :r].copy())
+    return skinny_svd(M, rank_tol)
 
 
 def pseudoinverse(M):
@@ -273,9 +356,7 @@ def _certified_triplets(N, G, tau, fro, basis):
         return None
     try:
         if k:
-            # a fixed seed keeps the result a function of the inputs
-            extra = np.random.default_rng(0).standard_normal((n, _WARM_EXTRA))
-            GY = G @ np.hstack([basis, extra])
+            GY = G @ np.hstack([basis, _gaussian(n, _WARM_EXTRA)])
             # a sixteenth of the residual check's bound: the accepted
             # triplets then pass it with room to spare
             target = m * _EPS * fro / 4

@@ -5,7 +5,7 @@ row-space recovery error."""
 import numpy as np
 
 from .errors import UndefinedMetricError
-from .linalg import as_matrix, skinny_svd
+from .linalg import _blas_threads, _low_rank_svd, as_matrix
 from .solver import SOLUTION_RANK_TOL
 
 STRATEGIES = ("global", "local")
@@ -166,17 +166,21 @@ def recovery_error(Z_star, V0):
     projector ``V0 V0^T``, relative to ``||V0 V0^T||_F``.
 
     Both sides are projectors, so the value is basis-independent. A zero
-    ``Z_star`` gives exactly 1.
+    ``Z_star`` gives exactly 1. A small ``Z_star`` is factored on one BLAS
+    thread, as in the recipes, so the value has the same bits there and
+    here.
     """
     V0 = as_matrix(V0, "V0")
     gram = V0.T @ V0
     if not np.allclose(gram, np.eye(V0.shape[1]), atol=1e-6):
         raise ValueError("V0 must have orthonormal columns")
-    return _recovery_error(skinny_svd(Z_star, SOLUTION_RANK_TOL), V0)
+    Z_star = as_matrix(Z_star, "Z_star")
+    with _blas_threads(Z_star.size):
+        return _recovery_error(_low_rank_svd(Z_star, SOLUTION_RANK_TOL), V0)
 
 
 def _recovery_error(f, V0):
-    """:func:`recovery_error` from the factor ``f = skinny_svd(Z_star,
+    """:func:`recovery_error` from the factor ``f = _low_rank_svd(Z_star,
     SOLUTION_RANK_TOL)`` and a checked ``V0``, for callers that factor
     ``Z_star`` once for several uses."""
     P = f.U @ f.U.T

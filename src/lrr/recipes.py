@@ -5,10 +5,10 @@ observed columns to unit length (the reference tradeoff weights assume
 unit-magnitude samples), runs the pipeline with its reference parameters,
 and returns metrics plus plot-ready tables (affinity heatmap, error-column
 norms, parameter sweeps). These are the desk-scale experiments the test
-suite gates on; the CLI exposes them under ``replicate``. Every recipe but fig6
-runs on one BLAS thread from data generation on (see
-:func:`~lrr.linalg._blas_threads`), so its output does not depend on the
-thread count the process starts with.
+suite gates on; the CLI exposes them under ``replicate``. Every recipe runs
+on one BLAS thread from data generation on, since its n x n arrays (n <= 500)
+are small (see :func:`~lrr.linalg._blas_threads`), so its output does not
+depend on the thread count the process starts with.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cluster, metrics, solver, synth
-from .linalg import _blas_threads, skinny_svd
+from .linalg import _blas_threads, _low_rank_svd
 
 # Reference parameter sets. fig4's lambda grid spans the window where
 # outliers are identified exactly; fig6's noise/corruption/outlier split is
@@ -78,11 +78,13 @@ def _dataset(seed, k, dim, ambient, per_subspace, corrupt_scale=None, noise_leve
 
 
 def _blas_threads_of(fig):
-    """:func:`~lrr.linalg._blas_threads` sized by the data matrix of the
-    figure whose dataset keywords are ``fig``: a recipe decorated with it
-    generates its data, solves and scores under one scope."""
+    """:func:`~lrr.linalg._blas_threads` sized by the n x n representation,
+    affinity and Laplacian of the figure whose dataset keywords are
+    ``fig``, the arrays that its sweeps and scoring touch: a recipe
+    decorated with it generates its data, solves and scores under one
+    scope."""
     n = fig["k"] * fig["per_subspace"] + fig.get("n_outliers", 0)
-    return _blas_threads(fig["ambient"] * n)
+    return _blas_threads(n * n)
 
 
 def _solve(ds, lam):
@@ -91,7 +93,7 @@ def _solve(ds, lam):
     :func:`cluster.build_affinity`; the recovery error against ``ds.V0``;
     and the column norms of E."""
     sol = solver.solve_lrr_self(ds.X, "l21", solver.SolverOptions(lam=lam))
-    f = skinny_svd(sol.Z, solver.SOLUTION_RANK_TOL)
+    f = _low_rank_svd(sol.Z, solver.SOLUTION_RANK_TOL)
     return sol, f, metrics._recovery_error(f, ds.V0), np.linalg.norm(sol.E, axis=0)
 
 

@@ -12,13 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _EPS, skinny_svd
+from .linalg import _low_rank_svd
 
 MODES = ("independent", "disjoint")
-# The sketch of V0: a fixed-seed Gaussian test matrix of this many columns,
-# trusted only when the rank it finds leaves at least this many spare.
-_SKETCH_WIDTH = 64
-_SKETCH_SPARE = 16
 # The smallest norm whose square is a normal float.
 _SQRT_TINY = math.sqrt(np.finfo(np.float64).tiny)
 
@@ -47,7 +43,7 @@ class SyntheticDataset:
     authentic columns that carry a gross corruption. ``V0`` is an
     orthonormal basis of the row space of X0, also computed on first read:
     the ``V`` of ``skinny_svd(X0)``, up to roundoff and the choice of basis,
-    with the same rank (see :func:`_row_space_basis`).
+    with the same rank (see :func:`~lrr.linalg._low_rank_svd`).
     """
 
     X0: np.ndarray
@@ -61,7 +57,7 @@ class SyntheticDataset:
 
     @functools.cached_property
     def V0(self):
-        return _row_space_basis(self.X0)
+        return _low_rank_svd(self.X0).V
 
     @property
     def outlier_indices(self):
@@ -90,42 +86,6 @@ class SyntheticDataset:
 
     def authentic_indices(self):
         return np.flatnonzero(self.true_labels >= 0)
-
-
-def _row_space_basis(X0):
-    """The row basis ``V`` of ``skinny_svd(X0)``, from a sketch when one is
-    certified to keep the same singular values.
-
-    The range finder of Halko, Martinsson and Tropp (SIAM Review, 2011):
-    ``Q = orth(X0 Omega)`` for a fixed-seed Gaussian ``Omega`` of
-    ``_SKETCH_WIDTH`` columns, and ``B = Q^T X0``. With ``delta = ||X0 - Q
-    B||_F`` plus the rounding of the SVD of ``B`` (``w eps sigma_1(B)`` for
-    its ``w`` rows), Weyl's inequality puts every ``sigma_i(X0)`` within
-    ``delta`` of ``sigma_i(B)``, zero past the ``w``-th. The sketch answers
-    with the ``V`` of ``B`` only if the kept ``r`` values of ``B`` stay above
-    ``skinny_svd``'s cut ``max(d, n) eps sigma_1`` and the rest stay below it
-    across that interval, and if ``r`` leaves ``_SKETCH_SPARE`` columns of
-    ``Omega`` spare. Otherwise, and for matrices too small to sketch, the
-    dense ``skinny_svd(X0).V`` answers. Either way the projector ``V V^T``
-    agrees with the dense one to roundoff.
-    """
-    d, n = X0.shape
-    if min(d, n) <= _SKETCH_WIDTH:
-        return skinny_svd(X0).V
-    omega = np.random.default_rng(0).standard_normal((n, _SKETCH_WIDTH))
-    Q = np.linalg.qr(X0 @ omega)[0]
-    B = Q.T @ X0
-    f = skinny_svd(B, 0.0)
-    cut = max(d, n) * _EPS
-    r = int(np.count_nonzero(f.sigma > cut * f.sigma[0])) if f.rank else 0
-    if 0 < r <= _SKETCH_WIDTH - _SKETCH_SPARE:
-        top = f.sigma[0]
-        below = f.sigma[r] if r < f.rank else 0.0
-        delta = np.linalg.norm(X0 - Q @ B) + _SKETCH_WIDTH * _EPS * top
-        if (f.sigma[r - 1] - delta > cut * (top + delta)
-                and below + delta < cut * (top - delta)):
-            return f.V[:, :r].copy()
-    return skinny_svd(X0).V
 
 
 def gen_ensemble(k, dim, ambient, mode="disjoint", seed=0):

@@ -189,6 +189,101 @@ class TestSkinnySvd:
             linalg.skinny_svd(np.ones((3, 2)))
 
 
+@st.composite
+def low_rank_cases(draw):
+    """``(M, r, junk, rank_tol)``: a d x n matrix, sides 65..140, of rank r
+    with singular values in [1, 10], plus Gaussian junk with entries of
+    ``junk`` (0 or 1e-13..1e-7) relative, all scaled by 10^-100..10^100.
+    r is at most 48 (sketchable) or up to full rank, past the sketch;
+    ``rank_tol`` is the solution cut 1e-4, or ``skinny_svd``'s default
+    when there is no junk."""
+    d = draw(st.integers(65, 140))
+    n = draw(st.integers(65, 140))
+    r = draw(st.one_of(st.integers(1, 48), st.integers(49, min(d, n))))
+    junk = draw(st.sampled_from([0.0, 1e-13, 1e-10, 1e-7]))
+    scale = 10.0 ** draw(st.integers(-100, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    U = np.linalg.qr(rng.standard_normal((d, r)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    M = (U * rng.uniform(1.0, 10.0, r)) @ V.T + junk * rng.standard_normal((d, n))
+    return M * scale, r, junk, solver.SOLUTION_RANK_TOL if junk else None
+
+
+def factor_with_calls(M, rank_tol):
+    """``linalg._low_rank_svd(M, rank_tol)`` and the shapes of the
+    ``skinny_svd`` calls it made."""
+    shapes = []
+    real = linalg.skinny_svd
+
+    def recorded(A, tol=None):
+        shapes.append(A.shape)
+        return real(A, tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "skinny_svd", recorded)
+        f = linalg._low_rank_svd(M, rank_tol)
+    return f, shapes
+
+
+class TestLowRankSvd:
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(low_rank_cases())
+    def test_rank_and_projector_match_skinny_svd(self, case):
+        M, r, junk, rank_tol = case
+        f, shapes = factor_with_calls(M, rank_tol)
+        dense = linalg.skinny_svd(M, rank_tol)
+        assert f.rank == dense.rank == r
+        # the projector to roundoff plus the junk level, relative to the
+        # smallest kept singular value (1 before scaling)
+        bound = 1e-12 + 10 * junk
+        assert np.abs(f.U @ f.U.T - dense.U @ dense.U.T).max() <= bound
+        assert np.abs(f.V @ f.V.T - dense.V @ dense.V.T).max() <= bound
+        np.testing.assert_allclose(f.sigma, dense.sigma, rtol=bound)
+        assert np.abs(f.reconstruct() - M).max() <= (1e-12 + 100 * junk) * dense.sigma[0]
+        for j in range(f.rank):
+            col = f.U[:, j]
+            assert col[np.flatnonzero(col)[0]] >= 0
+        sketched = M.shape not in shapes
+        if r > linalg._SKETCH_WIDTH - linalg._SKETCH_SPARE:
+            # past 48 directions the QR of the sketch sends M to the dense
+            # SVD before B is formed and factored
+            assert shapes == [M.shape]
+        elif junk:
+            # the solution cut sits far above the junk: the sketch answers.
+            # skinny_svd's own cut (max(d, n) eps) can sit below the
+            # rounding of the sketch, and then the dense SVD answers.
+            assert sketched
+        if not sketched:
+            assert np.array_equal(f.U, dense.U) and np.array_equal(f.V, dense.V)
+            assert np.array_equal(f.sigma, dense.sigma)
+
+    @pytest.mark.parametrize("shape", [(64, 200), (300, 64), (20, 30), (70, 70)])
+    def test_narrow_or_full_rank_input_takes_the_dense_svd(self, shape):
+        M = rand(shape, 9)
+        f, shapes = factor_with_calls(M, solver.SOLUTION_RANK_TOL)
+        dense = linalg.skinny_svd(M, solver.SOLUTION_RANK_TOL)
+        assert shapes == [shape]
+        for got, want in zip((f.U, f.sigma, f.V), (dense.U, dense.sigma, dense.V)):
+            assert np.array_equal(got, want)
+
+    def test_zero_matrix_empty_factors(self):
+        f = linalg._low_rank_svd(np.zeros((100, 80)))
+        assert (f.U.shape, f.sigma.shape, f.V.shape) == ((100, 0), (0,), (80, 0))
+
+    @pytest.mark.parametrize("rank_tol", [np.nan, np.inf, -1e-3])
+    def test_rejects_rank_tol_outside_zero_to_inf(self, rank_tol):
+        with pytest.raises(ValueError, match="rank_tol"):
+            linalg._low_rank_svd(np.eye(100), rank_tol)
+
+
+def test_gaussian_block_is_the_fixed_seed_draw_read_only():
+    block = linalg._gaussian(30, 8)
+    assert np.array_equal(block, np.random.default_rng(0).standard_normal((30, 8)))
+    assert linalg._gaussian(30, 8) is block
+    with pytest.raises(ValueError):
+        block[0, 0] = 1.0
+
+
 class TestPseudoinverse:
     def test_identity(self):
         np.testing.assert_allclose(linalg.pseudoinverse(np.eye(3)), np.eye(3), atol=1e-12)

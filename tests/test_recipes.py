@@ -66,6 +66,28 @@ def test_fig5b_heavy_corruption_identified():
     assert out.metrics["supports_exact"]
 
 
+def test_fig4_recovery_error_matches_dense_recomputation(monkeypatch):
+    # the recipe factors each Z from a certified sketch; a dense SVD cut at
+    # the same rank gives the same error to roundoff
+    sols = []
+    real = solver.solve_lrr_self
+
+    def recorded(*args, **kwargs):
+        sols.append(real(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(solver, "solve_lrr_self", recorded)
+    out = recipes.replicate_fig4(seed=0)
+    assert len(sols) == len(recipes.FIG4_LAMBDAS)
+    Q = out.dataset.V0 @ out.dataset.V0.T
+    for lam, sol in zip(recipes.FIG4_LAMBDAS, sols):
+        U, s, _ = np.linalg.svd(sol.Z, full_matrices=False)
+        U = U[:, s > solver.SOLUTION_RANK_TOL * s[0]]
+        dense = np.linalg.norm(U @ U.T - Q) / np.linalg.norm(Q)
+        reported = out.metrics["per_lambda"][f"{lam:g}"]["recovery_error"]
+        assert abs(reported - dense) <= 1e-9
+
+
 @pytest.fixture(scope="module")
 def fig6_run():
     """``replicate_fig6(0)`` and the solution of its one solve."""

@@ -201,14 +201,14 @@ def v0_with_path(X0):
     empty = np.empty(0, dtype=int)
     ds = synth.SyntheticDataset(X0, np.zeros_like(X0), np.zeros(n, dtype=int), empty)
     shapes = []
-    real = synth.skinny_svd
+    real = linalg.skinny_svd
 
     def recorded(M, rank_tol=None):
         shapes.append(M.shape)
         return real(M, rank_tol)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(synth, "skinny_svd", recorded)
+        mp.setattr(linalg, "skinny_svd", recorded)
         V0 = ds.V0
     return V0, linalg.skinny_svd(X0).V, X0.shape not in shapes
 
@@ -251,6 +251,6 @@ class TestRowSpaceBasis:
         V0, dense, sketched = v0_with_path(X0)
         assert V0.shape == dense.shape == (X0.shape[1], r)
         assert np.abs(V0 @ V0.T - dense @ dense.T).max() <= 1e-12
-        if r == 0 or r > synth._SKETCH_WIDTH - synth._SKETCH_SPARE:
+        if r == 0 or r > linalg._SKETCH_WIDTH - linalg._SKETCH_SPARE:
             # zero, saturated or full rank: the dense SVD answers
             assert not sketched and np.array_equal(V0, dense)
