@@ -231,10 +231,8 @@ def segment(X, k, model="l21", opts=None, tau=DEFAULT_TAU, seed=0):
     such as ``"3"``), and spectral segmentation (k-means seeded by
     ``seed``). Outliers are a step of their own: :func:`detect_outliers`.
 
-    ``tau`` and an integer ``k`` are checked before the solve. Every stage
-    runs on one BLAS thread when the n x n arrays that the affinity and the
-    spectral steps touch are small (see :func:`~lrr.linalg._blas_threads`),
-    whatever the ambient dimension of X.
+    ``tau`` and an integer ``k`` are checked before the solve.
+    A small X runs every stage on one BLAS thread, as the solvers do.
     Returns a :class:`SegmentationResult` carrying labels plus every
     intermediate product as diagnostics.
     """
@@ -244,7 +242,7 @@ def segment(X, k, model="l21", opts=None, tau=DEFAULT_TAU, seed=0):
     if not auto:
         k = int(k) if isinstance(k, str) else k
         _check_k(k, X.shape[1])
-    with _blas_threads(X.shape[1] ** 2):
+    with _blas_threads(X.size):
         sol = solve_lrr_self(X, model, opts)
         W = build_affinity(sol.Z)
         spectrum = laplacian_spectrum(W)

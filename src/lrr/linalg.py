@@ -6,8 +6,7 @@ All functions are pure: they never mutate their arguments and hold no state,
 so they are safe to call concurrently. The one piece of state in the module
 is the depth count of :func:`_blas_threads`, the scope in which the solvers,
 the segmentation and the recipes run small inputs on one BLAS thread; it is
-kept under a lock. :func:`_gaussian` also keeps the fixed-seed blocks it
-has drawn, read-only.
+kept under a lock.
 """
 
 import contextlib
@@ -25,15 +24,15 @@ NORM_KINDS = ("l1", "l21", "frobenius", "spectral")
 _EPS = np.finfo(np.float64).eps
 _SQRT_EPS = math.sqrt(_EPS)
 
-# A scope whose repeated work touches arrays of fewer entries than this
-# (2 MiB of float64) runs its BLAS calls on one thread. Each scope is sized
-# by those arrays, not by the data: the r x n frame of a self solve's
-# sweeps, the n x n representation and affinity of a segmentation or a
-# recipe. On 2 cores the second OpenBLAS thread spins between the small
+# A scope over arrays of fewer entries than this (2 MiB of float64) runs its
+# BLAS calls on one thread. The solvers and segment are sized by their
+# input; a recipe by its n x n representation and affinity, however tall
+# its data. On 2 cores the second OpenBLAS thread spins between the small
 # calls of a sweep: one thread cut the bench's CPU time per round from 0.68
-# to 0.37 s on cli_pipeline (inputs up to 100x108), from 2.08 to 1.06 s on
-# fig4_grid (200x250) and from 3.32 to 1.88 s on fig6_direct (2000x500 data,
-# 500x500 sweeps), wall time moving by -10% to +5%.
+# to 0.37 s on cli_pipeline (inputs up to 100x108) and from 2.08 to 1.06 s
+# on fig4_grid (200x250), wall time staying within the host's spread, and
+# from 3.46 to 2.07 s on fig6_direct (2000x500 data, 500x500 sweeps), whose
+# wall time rose by 11% (BENCH_29.json).
 _ONE_THREAD_BELOW = 2**18
 
 # Exported thread-count getters and setters of OpenBLAS builds, NumPy's own
@@ -212,17 +211,6 @@ _SKETCH_WIDTH = 64
 _SKETCH_SPARE = 16
 
 
-@functools.lru_cache(maxsize=32)
-def _gaussian(rows, cols):
-    """``np.random.default_rng(0).standard_normal((rows, cols))``, drawn once
-    per shape and read-only: the fixed-seed test matrices of the SVT's warm
-    start and of :func:`_low_rank_svd`, which thus stay functions of their
-    inputs."""
-    block = np.random.default_rng(0).standard_normal((rows, cols))
-    block.flags.writeable = False
-    return block
-
-
 def _low_rank_svd(M, rank_tol=None):
     """``skinny_svd(M, rank_tol)`` from a sketch when one is certified to
     keep the same singular values; for matrices of low rank next to their
@@ -255,7 +243,9 @@ def _low_rank_svd(M, rank_tol=None):
     d, n = M.shape
     if min(d, n) <= _SKETCH_WIDTH:
         return skinny_svd(M, rank_tol)
-    Q, R = np.linalg.qr(M @ _gaussian(n, _SKETCH_WIDTH))
+    # a fixed seed keeps the result a function of the input
+    omega = np.random.default_rng(0).standard_normal((n, _SKETCH_WIDTH))
+    Q, R = np.linalg.qr(M @ omega)
     spread = np.abs(np.diag(R))
     # the rounding of M Omega can leave the trailing entries of R of an
     # exactly low-rank M near 1e4 eps, so a smaller cut counts from sqrt(eps)
@@ -356,7 +346,9 @@ def _certified_triplets(N, G, tau, fro, basis):
         return None
     try:
         if k:
-            GY = G @ np.hstack([basis, _gaussian(n, _WARM_EXTRA)])
+            # a fixed seed keeps the result a function of the inputs
+            extra = np.random.default_rng(0).standard_normal((n, _WARM_EXTRA))
+            GY = G @ np.hstack([basis, extra])
             # a sixteenth of the residual check's bound: the accepted
             # triplets then pass it with room to spare
             target = m * _EPS * fro / 4

@@ -23,9 +23,7 @@ and no solve calls SciPy. Every solve keeps one record, an ``_AdmState``,
 that :func:`_finish` alone turns into the :class:`LrrSolution`: it takes
 the objective in the frame, maps the answer back, measures its residual.
 The three solvers run inputs of fewer than 2^18 entries on one BLAS thread
-(:func:`~lrr.linalg._blas_threads`) and give the caller's count back; the
-``l21`` self solve sizes its sweeps by their r x n frame, so tall data with
-a small frame sweeps on one thread too.
+(:func:`~lrr.linalg._blas_threads`) and give the caller's count back.
 """
 
 import itertools
@@ -576,12 +574,9 @@ def solve_lrr_self(X, model="l21", opts=None):
         Vt = f.V.T
         # set up first: an overflowing I + S^2 raises before the fast-forward
         ops = _z_step(None, f.sigma)
-        # the sweeps touch only r x n arrays, however many rows X has
-        with _blas_threads(Vt.size):
-            state = _fast_forward(f.sigma, Vt, opts)
-            warm_sweeps = len(state.obj_trace)
-            _run_adm(np.multiply(f.sigma[:, None], Vt, order="C"), ops, model, opts, state,
-                     f.U)
+        state = _fast_forward(f.sigma, Vt, opts)
+        warm_sweeps = len(state.obj_trace)
+        _run_adm(np.multiply(f.sigma[:, None], Vt, order="C"), ops, model, opts, state, f.U)
         return _finish(X, X, f.V, state, model, opts, f.U, warm_sweeps=warm_sweeps)
 
 

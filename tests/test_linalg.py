@@ -276,14 +276,6 @@ class TestLowRankSvd:
             linalg._low_rank_svd(np.eye(100), rank_tol)
 
 
-def test_gaussian_block_is_the_fixed_seed_draw_read_only():
-    block = linalg._gaussian(30, 8)
-    assert np.array_equal(block, np.random.default_rng(0).standard_normal((30, 8)))
-    assert linalg._gaussian(30, 8) is block
-    with pytest.raises(ValueError):
-        block[0, 0] = 1.0
-
-
 class TestPseudoinverse:
     def test_identity(self):
         np.testing.assert_allclose(linalg.pseudoinverse(np.eye(3)), np.eye(3), atol=1e-12)

@@ -1,8 +1,7 @@
 """The one-thread scope of small inputs (``linalg._blas_threads``): the
-thread count that the BLAS calls of a solve see, sized by the arrays that
-the sweeps touch, the caller's count coming back on every way out, and
-recipe results (fig6 included) that do not depend on the count the process
-starts with."""
+thread count that the BLAS calls of a solve see, the caller's count coming
+back on every way out, and recipe results (fig6 included) that do not
+depend on the count the process starts with."""
 
 import os
 import subprocess
@@ -73,40 +72,12 @@ class TestScope:
         assert_restored()
 
     def test_large_solve_keeps_the_callers_count(self, svt_threads):
-        # full rank, so the sweeps' 600 x 600 frame is at the limit too
-        X = rand((1200, 600), 2)
-        assert 600 * 600 >= linalg._ONE_THREAD_BELOW
+        X = rand((1200, 300), 2)
+        assert X.size >= linalg._ONE_THREAD_BELOW
         # the fast-forward runs the first sweep, the plain loop the second
         sol = solver.solve_lrr_self(X, "l21", solver.SolverOptions(lam=0.5, max_iters=2))
         assert sol.iterations == 2
         assert svt_threads == [(CALLER, 0)]
-        assert_restored()
-
-    def test_tall_solve_sweeps_its_small_frame_on_one_thread(self, svt_threads, monkeypatch):
-        # X is past the limit, its 300 x 300 frame is not: the SVD of X keeps
-        # the caller's count, and the sweeps run on one thread
-        X = rand((1200, 300), 2)
-        assert X.size >= linalg._ONE_THREAD_BELOW > 300 * 300
-        factored = []
-        inner = solver.skinny_svd
-
-        def spy(M, *args):
-            factored.append((M.shape, BLAS[0](), linalg._threads_depth))
-            return inner(M, *args)
-
-        monkeypatch.setattr(solver, "skinny_svd", spy)
-        sol = solver.solve_lrr_self(X, "l21", solver.SolverOptions(lam=0.5, max_iters=2))
-        assert sol.iterations == 2
-        assert factored == [(X.shape, CALLER, 0)]
-        assert svt_threads == [(1, 1)]
-        assert_restored()
-
-    def test_segment_of_tall_data_runs_on_one_thread(self, svt_threads):
-        # sized by the n x n affinity, not by the 3000 x 90 data
-        X = rand((3000, 90), 5)
-        assert X.size >= linalg._ONE_THREAD_BELOW
-        cluster.segment(X, 2, opts=solver.SolverOptions(lam=0.5, max_iters=3))
-        assert svt_threads and {t for t, _ in svt_threads} == {1}
         assert_restored()
 
     def test_limit_is_exclusive(self):
@@ -132,10 +103,9 @@ class TestScope:
 
         monkeypatch.setattr(cluster, "build_affinity", spy)
         cluster.segment(rand((12, 18), 4), 2, opts=OPTS)
-        # segment's scope, then solve_lrr_self's inside it and that of its
-        # sweeps inside that; the inner exits leave segment's later stages
-        # on one thread
-        assert svt_threads and set(svt_threads) == {(1, 3)}
+        # segment's scope, then solve_lrr_self's inside it; the inner exit
+        # leaves segment's later stages on one thread
+        assert svt_threads and set(svt_threads) == {(1, 2)}
         assert after == [(1, 1)]
         assert_restored()
 
