@@ -65,23 +65,17 @@ def build_affinity(Z_star):
     """
     Z_star = as_matrix(Z_star, "Z_star")
     with _blas_threads(Z_star.size):
-        return _affinity(_low_rank_svd(Z_star, SOLUTION_RANK_TOL))
-
-
-def _affinity(f):
-    """:func:`build_affinity` from the factor ``f = _low_rank_svd(Z_star,
-    SOLUTION_RANK_TOL)``, for callers that factor ``Z_star`` once for
-    several uses."""
-    n = f.U.shape[0]
-    if f.rank == 0:
-        return np.zeros((n, n))
-    U = f.U * np.sqrt(f.sigma)
-    rn = np.linalg.norm(U, axis=1)
-    nz = rn > 0
-    U[nz] /= rn[nz, None]
-    G = U @ U.T
-    G = (G + G.T) / 2.0
-    return G * G
+        f = _low_rank_svd(Z_star, SOLUTION_RANK_TOL)
+        n = f.U.shape[0]
+        if f.rank == 0:
+            return np.zeros((n, n))
+        U = f.U * np.sqrt(f.sigma)
+        rn = np.linalg.norm(U, axis=1)
+        nz = rn > 0
+        U[nz] /= rn[nz, None]
+        G = U @ U.T
+        G = (G + G.T) / 2.0
+        return G * G
 
 
 def _as_affinity_array(W):

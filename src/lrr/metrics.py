@@ -176,16 +176,10 @@ def recovery_error(Z_star, V0):
         raise ValueError("V0 must have orthonormal columns")
     Z_star = as_matrix(Z_star, "Z_star")
     with _blas_threads(Z_star.size):
-        return _recovery_error(_low_rank_svd(Z_star, SOLUTION_RANK_TOL), V0)
-
-
-def _recovery_error(f, V0):
-    """:func:`recovery_error` from the factor ``f = _low_rank_svd(Z_star,
-    SOLUTION_RANK_TOL)`` and a checked ``V0``, for callers that factor
-    ``Z_star`` once for several uses."""
-    P = f.U @ f.U.T
-    Q = V0 @ V0.T
-    return float(np.linalg.norm(P - Q) / np.linalg.norm(Q))
+        U = _low_rank_svd(Z_star, SOLUTION_RANK_TOL).U
+        P = U @ U.T
+        Q = V0 @ V0.T
+        return float(np.linalg.norm(P - Q) / np.linalg.norm(Q))
 
 
 def roc_sweep(scores, truth):

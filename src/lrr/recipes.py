@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cluster, metrics, solver, synth
-from .linalg import _blas_threads, _low_rank_svd
+from .linalg import _blas_threads
 
 # Reference parameter sets. fig4's lambda grid spans the window where
 # outliers are identified exactly; fig6's noise/corruption/outlier split is
@@ -88,13 +88,10 @@ def _blas_threads_of(fig):
 
 
 def _solve(ds, lam):
-    """The ``l21`` self solve of ``ds.X`` at ``lam``; the factor of its Z,
-    taken once for both :func:`metrics.recovery_error` and
-    :func:`cluster.build_affinity`; the recovery error against ``ds.V0``;
-    and the column norms of E."""
+    """The ``l21`` self solve of ``ds.X`` at ``lam``, the recovery error of
+    its Z against ``ds.V0``, and the column norms of its E."""
     sol = solver.solve_lrr_self(ds.X, "l21", solver.SolverOptions(lam=lam))
-    f = _low_rank_svd(sol.Z, solver.SOLUTION_RANK_TOL)
-    return sol, f, metrics._recovery_error(f, ds.V0), np.linalg.norm(sol.E, axis=0)
+    return sol, metrics.recovery_error(sol.Z, ds.V0), np.linalg.norm(sol.E, axis=0)
 
 
 def _widest_gap(norms):
@@ -161,7 +158,7 @@ def replicate_fig4(seed=0):
     rows = []
     per_lambda = {}
     for lam in FIG4_LAMBDAS:
-        sol, f, rec, norms = _solve(ds, lam)
+        sol, rec, norms = _solve(ds, lam)
         # exact when every outlier column of E is longer than every other
         # column: a threshold in the gap then flags exactly the outliers
         max_clean = float(norms[clean].max())
@@ -179,7 +176,7 @@ def replicate_fig4(seed=0):
             "converged": bool(sol.converged),
         }
         if lam == 0.25:
-            scores, rep_f = norms, f
+            scores, rep_Z = norms, sol.Z
     truth = np.zeros(ds.n, dtype=bool)
     truth[out] = True
     return ReplicationOutput(
@@ -192,7 +189,7 @@ def replicate_fig4(seed=0):
         tables={
             "lambda_sweep": np.asarray(rows),
             "error_column_norms": scores.reshape(1, -1),
-            "affinity": cluster._affinity(rep_f),
+            "affinity": cluster.build_affinity(rep_Z),
         },
         outliers=_widest_gap(scores),
         dataset=ds,
@@ -202,7 +199,7 @@ def replicate_fig4(seed=0):
 @_blas_threads_of(FIG5)
 def _replicate_fig5(seed, corrupt_scale):
     ds = make_fig5_dataset(seed, corrupt_scale)
-    sol, f, rec, norms = _solve(ds, FIG5_LAMBDA)
+    sol, rec, norms = _solve(ds, FIG5_LAMBDA)
     truth = np.zeros(ds.n, dtype=bool)
     truth[ds.corrupted_indices] = True
     support_auc = metrics.auc(norms, truth)
@@ -221,7 +218,7 @@ def _replicate_fig5(seed, corrupt_scale):
         },
         tables={
             "error_column_norms": norms.reshape(1, -1),
-            "affinity": cluster._affinity(f),
+            "affinity": cluster.build_affinity(sol.Z),
         },
         outliers=detected,
         dataset=ds,
@@ -243,8 +240,8 @@ def replicate_fig6(seed=0):
     recovery error, planted error ratio and segmentation accuracy on the
     authentic samples."""
     ds = make_fig6_dataset(seed)
-    sol, f, rec, norms = _solve(ds, FIG6_LAMBDA)
-    W = cluster._affinity(f)
+    sol, rec, norms = _solve(ds, FIG6_LAMBDA)
+    W = cluster.build_affinity(sol.Z)
     labels = cluster.ncut_segment(W, FIG6["k"], seed=seed)
     auth = ds.authentic_indices()
     return ReplicationOutput(

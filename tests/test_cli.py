@@ -525,6 +525,21 @@ class TestReplicateCommand:
         assert (out / "X.csv").exists()
         assert (out / "true_labels.csv").exists()
 
+    def test_runs_the_module_attribute(self, tmp_path, monkeypatch):
+        # a wrapper set on recipes.replicate_fig3 (a tracer, this spy) sees
+        # the recipe that the command runs
+        seeds = []
+        real = recipes.replicate_fig3
+
+        def spy(seed):
+            seeds.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(recipes, "replicate_fig3", spy)
+        assert main(["replicate", "--figure", "fig3", "--seed", "2",
+                     "--output", str(tmp_path / "o")]) == 0
+        assert seeds == [2]
+
     def test_unknown_figure_exit_2(self, tmp_path):
         assert main(["replicate", "--figure", "fig9",
                      "--output", str(tmp_path / "o")]) == 2
@@ -573,6 +588,7 @@ class TestUsage:
         monkeypatch.setattr(cluster, "solve_lrr_self", no_work)
         monkeypatch.setattr(matio, "read_matrix_csv", no_work)
         monkeypatch.setitem(recipes.RECIPES, "fig3", no_work)
+        monkeypatch.setattr(recipes, "replicate_fig3", no_work)
         inputs = [] if argv[0] == "replicate" else ["--input", x_path]
         out = tmp_path / "o"
         assert main([*argv, *inputs, "--seed", seed, "--output", str(out)]) == 2

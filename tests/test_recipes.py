@@ -118,11 +118,32 @@ def test_fig6_recovery_and_segmentation(fig6_run):
 
 
 def test_fig6_factor_of_z_matches_public_functions(fig6_run):
-    # the recipe factors Z once for both uses; the public functions factor
-    # it each time, with the same bits
+    # the recipe reports the public functions' values on its Z, bit for bit,
+    # also when they run outside its one-thread scope
     out, sol = fig6_run
     assert out.metrics["recovery_error"] == metrics.recovery_error(sol.Z, out.dataset.V0)
     assert np.array_equal(out.tables["affinity"], cluster.build_affinity(sol.Z))
+
+
+@pytest.mark.parametrize("figure, affinities, recovery_errors", [
+    ("fig4", 1, len(recipes.FIG4_LAMBDAS)),
+    ("fig5a", 1, 1),
+    ("fig6", 1, 1),
+])
+def test_recipes_score_through_the_public_functions(monkeypatch, figure, affinities,
+                                                     recovery_errors):
+    # the recipes reach both through the module attributes, so a wrapper set
+    # there (a tracer, this spy) sees every call
+    calls = []
+    for module, name in ((cluster, "build_affinity"), (metrics, "recovery_error")):
+        def spy(*args, _real=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    getattr(recipes, f"replicate_{figure}")(seed=0)
+    assert calls.count("build_affinity") == affinities
+    assert calls.count("recovery_error") == recovery_errors
 
 
 def test_recipe_determinism():
