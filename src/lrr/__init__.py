@@ -21,7 +21,6 @@ from .solver import (
     ERROR_MODELS,
     LrrSolution,
     SolverOptions,
-    lambda_outlier_default,
     reduce_dictionary,
     solve_lrr,
     solve_lrr_clean,

@@ -19,6 +19,7 @@ reports is not below eps (results are still written).
 """
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -71,7 +72,11 @@ def _seed(text):
     return int(text)
 
 
+@functools.cache
 def build_parser():
+    """The ``lrr`` argument parser, built once per process: parsing leaves
+    it unchanged, and :func:`main` would otherwise rebuild it on every
+    call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_seed, default=0,
                         help="k-means seed of segment, data seed of replicate (default:"

@@ -6,12 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _blas_threads, _low_rank_svd, as_matrix
+from .linalg import _EPS, _blas_threads, _low_rank_svd, as_matrix
 from .solver import SOLUTION_RANK_TOL, LrrSolution, solve_lrr_self
 
 DEFAULT_TAU = 0.08
-# k-means of ncut_segment: restarts from a farthest-point init, and the cap
-# on assignment sweeps per restart.
+# k-means of ncut_segment: restarts from a farthest-point init, run side by
+# side as one batch (the lowest cost wins, the first restart on a tie), and
+# the cap on assignment sweeps per restart.
 KMEANS_RESTARTS = 20
 KMEANS_MAX_SWEEPS = 100
 
@@ -126,48 +127,106 @@ def estimate_k(spectrum, tau=DEFAULT_TAU):
     return max(k_hat, 1)
 
 
-def _farthest_point_init(points, k, rng):
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+def _farthest_point_init(points, firsts, k):
+    """Greedy farthest-point init of every restart at once: restart r starts
+    at ``points[firsts[r]]`` and k - 1 times adds the point farthest from
+    its centres so far (the lowest index on a tie). Returns the R x k
+    indices of the centres."""
+    idx = np.empty((firsts.size, k), dtype=np.intp)
+    idx[:, 0] = firsts
+    d2 = ((points[None, :, :] - points[firsts][:, None, :]) ** 2).sum(axis=2)
     for j in range(1, k):
-        centers[j] = points[int(np.argmax(d2))]
-        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
-    return centers
+        idx[:, j] = np.argmax(d2, axis=1)
+        np.minimum(d2, ((points[None, :, :] - points[idx[:, j]][:, None, :]) ** 2).sum(axis=2),
+                   out=d2)
+    return idx
+
+
+def _nearest(points, centers):
+    """Index of the nearest centre of every point in every restart (a x n)
+    for a x k x dim centres, the lowest index on a tie.
+
+    One stacked product gives ``||c||^2 - 2 c.x``, the squared distance less
+    ``||x||^2``. A point with a second centre within that form's rounding
+    bound of its nearest is decided again by ``sum((x - c)^2)``, so every
+    assignment is the one the difference form makes, however the product
+    was summed.
+    """
+    k = centers.shape[1]
+    cc = (centers ** 2).sum(axis=2)
+    d2 = centers @ (-2.0 * points.T)
+    d2 += cc[:, :, None]
+    tol = 16.0 * (points.shape[1] + 3) * _EPS * ((points ** 2).sum(axis=1).max() + cc.max())
+    near = d2 <= d2.min(axis=1, keepdims=True) + tol
+    # Per point, the number of centres in reach and the sum of their ids:
+    # the nearest centre's id where it has no rival.
+    count, ids = (np.array([np.ones(k), np.arange(k)]) @ near).swapaxes(0, 1)
+    nearest = ids.astype(np.intp)
+    rival = count > 1
+    for r in np.flatnonzero(rival.any(axis=1)):
+        i = np.flatnonzero(rival[r])
+        nearest[r, i] = ((points[i][:, None, :] - centers[r]) ** 2).sum(axis=2).argmin(axis=1)
+    return nearest
+
+
+def _refill_empty(points, centers, labels):
+    """One restart's centre update when a cluster is empty, in place: cluster
+    by cluster, a centre becomes the mean of its members, and an empty
+    cluster takes the point farthest from its centre (by the centres before
+    the update)."""
+    n = points.shape[0]
+    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    dist_to_own = d2[np.arange(n), labels]
+    for c in range(centers.shape[0]):
+        members = labels == c
+        if members.any():
+            centers[c] = points[members].mean(axis=0)
+        else:
+            far = int(np.argmax(dist_to_own))
+            centers[c] = points[far]
+            labels[far] = c
+            dist_to_own[far] = 0.0
 
 
 def _kmeans(points, k, rng):
     """Seeded k-means with greedy farthest-point init; returns the labeling
-    with the best within-cluster sum of squares over the restarts."""
-    n = points.shape[0]
-    best_labels = None
-    best_cost = np.inf
-    for _ in range(KMEANS_RESTARTS):
-        centers = _farthest_point_init(points, k, rng)
-        labels = np.full(n, -1)
-        for _ in range(KMEANS_MAX_SWEEPS):
-            d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            new_labels = np.argmin(d2, axis=1)
-            dist_to_own = d2[np.arange(n), new_labels]
-            for c in range(k):
-                members = new_labels == c
-                if members.any():
-                    centers[c] = points[members].mean(axis=0)
-                else:
-                    far = int(np.argmax(dist_to_own))
-                    centers[c] = points[far]
-                    new_labels[far] = c
-                    dist_to_own[far] = 0.0
-            if np.array_equal(new_labels, labels):
-                break
-            labels = new_labels
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        cost = d2[np.arange(n), labels].sum()
-        if cost < best_cost:
-            best_cost = cost
-            best_labels = labels
-    return best_labels
+    with the lowest within-cluster sum of squares over the restarts, the
+    first restart on a tie.
+
+    The ``KMEANS_RESTARTS`` restarts run side by side. Each draws its first
+    centre from ``rng`` in turn. A sweep assigns the points of every restart
+    still running and moves its centres to the means of their clusters. A
+    restart stops when its labels repeat, or after ``KMEANS_MAX_SWEEPS``
+    sweeps.
+    """
+    n, dim = points.shape
+    firsts = np.array([rng.integers(n) for _ in range(KMEANS_RESTARTS)])
+    centers = points[_farthest_point_init(points, firsts, k)]
+    labels = np.full((KMEANS_RESTARTS, n), -1)
+    # Each coordinate of the points, once per restart. bincount adds a
+    # cluster's members one by one in index order, as the mean of two or
+    # more coordinates does, so the centres have the bits of that mean.
+    coords = np.tile(points.T, (1, KMEANS_RESTARTS))
+    active = np.arange(KMEANS_RESTARTS)
+    for _ in range(KMEANS_MAX_SWEEPS):
+        a = active.size
+        new = _nearest(points, centers[active])
+        bins = (np.arange(a)[:, None] * k + new).ravel()
+        counts = np.bincount(bins, minlength=a * k).reshape(a, k)
+        sums = np.stack([np.bincount(bins, weights=w[: a * n], minlength=a * k)
+                         for w in coords], axis=1).reshape(a, k, dim)
+        full = counts.all(axis=1)
+        centers[active[full]] = sums[full] / counts[full][:, :, None]
+        for j in np.flatnonzero(~full):
+            _refill_empty(points, centers[active[j]], new[j])
+        done = (new == labels[active]).all(axis=1)
+        labels[active] = new
+        active = active[~done]
+        if not active.size:
+            break
+    own = centers[np.arange(KMEANS_RESTARTS)[:, None], labels]
+    cost = ((points[None, :, :] - own) ** 2).sum(axis=2).sum(axis=1)
+    return labels[np.argmin(cost)]
 
 
 def ncut_segment(W, k, seed=0):
@@ -176,10 +235,11 @@ def ncut_segment(W, k, seed=0):
 
     Embeds the samples with the k eigenvectors of the normalized Laplacian
     belonging to the smallest eigenvalues, scales the rows to unit length,
-    and clusters with seeded k-means (greedy farthest-point initialization,
-    ``KMEANS_RESTARTS`` restarts, lowest within-cluster sum of squares
-    kept). Isolated (zero-degree) samples all join the cluster that k-means
-    labelled last. Cluster ids are then numbered by first appearance
+    and clusters with seeded k-means: ``KMEANS_RESTARTS`` restarts from a
+    greedy farthest-point initialization, run side by side as one batch;
+    the restart with the lowest within-cluster sum of squares wins, and
+    the first restart on a tie. Isolated (zero-degree) samples all join
+    the cluster that k-means labelled last. Cluster ids are then numbered by first appearance
     (sample 0 is in cluster 0, the next new cluster is 1, ...), so the ids
     do not depend on which basis of a repeated eigenvalue ``eigh`` returns.
 

@@ -579,18 +579,3 @@ def solve_lrr_self(X, model="l21", opts=None):
         _run_adm(np.multiply(f.sigma[:, None], Vt, order="C"), ops, model, opts, state, f.U)
         return _finish(X, X, f.V, state, model, opts, f.U, warm_sweeps=warm_sweeps)
 
-
-def lambda_outlier_default(X, gamma_star):
-    """Tradeoff weight ``3 / (7 ||X|| sqrt(gamma_star * n))`` for the
-    outlier-detection regime.
-
-    ``gamma_star`` is the assumed admissible outlier fraction in (0, 1];
-    it is data-dependent and must be supplied by the caller.
-    """
-    X = as_matrix(X, "X")
-    if not 0 < gamma_star <= 1:
-        raise ValueError("gamma_star must lie in (0, 1]")
-    spectral = norm(X, "spectral")
-    if spectral == 0.0:
-        raise DegenerateInputError("X is the zero matrix")
-    return 3.0 / (7.0 * spectral * math.sqrt(gamma_star * X.shape[1]))

@@ -359,3 +359,46 @@ def csv_text_reference(M):
     the whole text joined before it is written."""
     M = np.asarray(M, dtype=np.float64)
     return "\n".join(",".join(f"{v:.17g}" for v in row) for row in M) + "\n"
+
+
+def kmeans_per_restart(points, k, rng, restarts=20, max_sweeps=100):
+    """k-means one restart after another, as ``cluster._kmeans`` ran before
+    its restarts were batched: a greedy farthest-point init from a first
+    centre drawn by ``rng.integers``, then sweeps of the difference-form
+    distances and a per-cluster centre update, in which an empty cluster
+    takes the point farthest from its centre. A restart stops when its
+    labels repeat. Returns the labels of the restart with the lowest
+    within-cluster sum of squares, the first on a tie."""
+    n = points.shape[0]
+    best_labels = None
+    best_cost = np.inf
+    for _ in range(restarts):
+        centers = np.empty((k, points.shape[1]))
+        centers[0] = points[rng.integers(n)]
+        d2 = ((points - centers[0]) ** 2).sum(axis=1)
+        for j in range(1, k):
+            centers[j] = points[int(np.argmax(d2))]
+            d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+        labels = np.full(n, -1)
+        for _ in range(max_sweeps):
+            d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            new_labels = np.argmin(d2, axis=1)
+            dist_to_own = d2[np.arange(n), new_labels]
+            for c in range(k):
+                members = new_labels == c
+                if members.any():
+                    centers[c] = points[members].mean(axis=0)
+                else:
+                    far = int(np.argmax(dist_to_own))
+                    centers[c] = points[far]
+                    new_labels[far] = c
+                    dist_to_own[far] = 0.0
+            if np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        cost = d2[np.arange(n), labels].sum()
+        if cost < best_cost:
+            best_cost = cost
+            best_labels = labels
+    return best_labels

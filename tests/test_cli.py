@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from lrr import cluster, matio, metrics, recipes, solver, synth
+from lrr import cli, cluster, matio, metrics, recipes, solver, synth
 from lrr.cli import main
 
 # Top-level keys of result.json, as documented in the README.
@@ -597,6 +597,32 @@ class TestUsage:
 
     def test_unknown_flag_exit_2(self, tmp_path):
         assert main(["solve", "--frobnicate"]) == 2
+
+    def test_one_parser_per_process_parses_as_a_fresh_one(self, tmp_path):
+        # main reuses one parser: a run, a usage error and another command
+        # in turn each parse as a newly built parser parses them
+        _, x_path, _ = write_dataset(tmp_path)
+
+        def parsed(parser, argv):
+            try:
+                return vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                return exc.code
+
+        runs = [
+            (["segment", "--input", x_path, "--k", "3", "--lambda", "1000",
+              "--output", str(tmp_path / "segment")], 0),
+            (["segment", "--input", x_path, "--k", "3", "--lambda", "1000",
+              "--seed", "-1", "--output", str(tmp_path / "usage")], 2),
+            (["replicate", "--figure", "fig3", "--output", str(tmp_path / "replicate")], 0),
+        ]
+        for argv, code in runs:
+            assert main(argv) == code
+            assert parsed(cli.build_parser(), argv) == parsed(cli.build_parser.__wrapped__(), argv)
+        assert cli.build_parser() is cli.build_parser()
+        commands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        figure = next(a for a in commands.choices["replicate"]._actions if a.dest == "figure")
+        assert figure.choices == list(recipes.RECIPES)
 
 
 @st.composite

@@ -176,6 +176,69 @@ class TestNcutSegment:
         assert labels[8] == 2
 
 
+def same_partition(a, b):
+    """True iff two labelings group the samples alike, whatever their ids."""
+    pairs = set(zip(a.tolist(), b.tolist()))
+    return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
+
+
+@st.composite
+def embeddings(draw):
+    """A cluster count k from 2 to 12 and n x k unit rows (k <= n <= 300),
+    as ncut_segment embeds: Gaussian, or near k directions, or repeating a
+    few distinct rows (1 to 3k of them)."""
+    k = draw(st.integers(2, 12))
+    n = draw(st.integers(k, 300))
+    kind = draw(st.sampled_from(["gaussian", "clustered", "duplicates"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "gaussian":
+        points = rng.standard_normal((n, k))
+    elif kind == "clustered":
+        points = np.eye(k)[rng.integers(0, k, n)] + 0.3 * rng.standard_normal((n, k))
+    else:
+        distinct = draw(st.integers(1, 3 * k))
+        points = rng.standard_normal((distinct, k))[rng.integers(0, distinct, n)]
+    return points / np.linalg.norm(points, axis=1, keepdims=True), k
+
+
+class TestKmeans:
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(embeddings(), st.integers(0, 2**32 - 1))
+    def test_batched_restarts_partition_as_one_at_a_time(self, case, seed):
+        points, k = case
+        labels = cluster._kmeans(points, k, np.random.default_rng(seed))
+        expected = oracles.kmeans_per_restart(points, k, np.random.default_rng(seed))
+        assert same_partition(labels, expected)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_first_restart_wins_a_tie(self, seed):
+        # the corners of a square, cut in two: restarts end in partitions of
+        # bit-equal cost that differ, and the first of them is kept
+        points = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        labels = cluster._kmeans(points, 2, np.random.default_rng(seed))
+        expected = oracles.kmeans_per_restart(points, 2, np.random.default_rng(seed))
+        assert same_partition(labels, expected)
+
+    def test_duplicate_rows_force_the_empty_cluster_repair(self, monkeypatch):
+        # six distinct unit rows, each twice, cut into seven clusters: the
+        # seventh farthest-point centre repeats an earlier one, so its
+        # cluster is empty and the repair moves a point into it
+        rows = np.random.default_rng(7).standard_normal((6, 7))
+        points = np.repeat(rows / np.linalg.norm(rows, axis=1, keepdims=True), 2, axis=0)
+        refills = []
+        real = cluster._refill_empty
+
+        def counting(*args):
+            refills.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cluster, "_refill_empty", counting)
+        labels = cluster._kmeans(points, 7, np.random.default_rng(0))
+        assert refills
+        assert np.array_equal(np.unique(labels), np.arange(7))
+        assert same_partition(labels, oracles.kmeans_per_restart(points, 7, np.random.default_rng(0)))
+
+
 class TestDetectOutliers:
     def test_zero_error_empty(self):
         assert cluster.detect_outliers(np.zeros((4, 6)), 0.5).size == 0

@@ -43,14 +43,6 @@ def test_fig4_full_lambda_grid_exact():
     assert np.array_equal(out.outliers, out.dataset.outlier_indices)
 
 
-def test_fig4_lambda_default_in_range():
-    ds = recipes.make_fig4_dataset(seed=0)
-    lam = solver.lambda_outlier_default(ds.X, gamma_star=0.2)
-    assert 0 < lam < 1
-    smax = np.linalg.svd(ds.X, compute_uv=False)[0]
-    assert lam == pytest.approx(3.0 / (7.0 * smax * np.sqrt(0.2 * ds.n)), rel=1e-12)
-
-
 def test_fig5a_moderate_corruption_identified():
     out = recipes.replicate_fig5a(seed=0)
     assert out.metrics["support_auc"] >= 0.99

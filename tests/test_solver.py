@@ -884,28 +884,6 @@ class TestReduceDictionary:
         assert reduced.objective == pytest.approx(direct.objective, rel=1e-6)
 
 
-class TestLambdaOutlierDefault:
-    def test_identity_closed_form(self):
-        assert solver.lambda_outlier_default(np.eye(4), 1.0) == pytest.approx(3.0 / 14.0)
-
-    def test_inverse_scaling(self):
-        X = rand((5, 8), 70)
-        lam1 = solver.lambda_outlier_default(X, 0.5)
-        lam2 = solver.lambda_outlier_default(2.5 * X, 0.5)
-        assert lam2 == pytest.approx(lam1 / 2.5, rel=1e-12)
-
-    def test_spectral_norm_against_svd_oracle(self):
-        X = rand((6, 9), 71)
-        smax = np.linalg.svd(X, compute_uv=False)[0]
-        expected = 3.0 / (7.0 * smax * np.sqrt(0.25 * 9))
-        assert solver.lambda_outlier_default(X, 0.25) == pytest.approx(expected, rel=1e-12)
-
-    @pytest.mark.parametrize("gamma", [0.0, -0.5, 1.5])
-    def test_gamma_range_enforced(self, gamma):
-        with pytest.raises(ValueError):
-            solver.lambda_outlier_default(np.eye(3), gamma)
-
-
 class TestRecoveryBounds:
     def test_near_recovery_bound_on_synthetic_runs(self):
         # ||Z* - V0 V0^T||_F <= min(d, n) + r0 whenever V0 is known
