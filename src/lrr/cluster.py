@@ -239,9 +239,10 @@ def ncut_segment(W, k, seed=0):
     greedy farthest-point initialization, run side by side as one batch;
     the restart with the lowest within-cluster sum of squares wins, and
     the first restart on a tie. Isolated (zero-degree) samples all join
-    the cluster that k-means labelled last. Cluster ids are then numbered by first appearance
-    (sample 0 is in cluster 0, the next new cluster is 1, ...), so the ids
-    do not depend on which basis of a repeated eigenvalue ``eigh`` returns.
+    the cluster that k-means labelled last. Cluster ids are then numbered
+    by first appearance (sample 0 is in cluster 0, the next new cluster is
+    1, ...), so the ids do not depend on which basis of a repeated
+    eigenvalue ``eigh`` returns.
 
     Self-affinities play no part in a cut, so the diagonal of W is zeroed
     before the Laplacian is formed; with unit self-affinities the loops

@@ -236,7 +236,8 @@ class TestKmeans:
         labels = cluster._kmeans(points, 7, np.random.default_rng(0))
         assert refills
         assert np.array_equal(np.unique(labels), np.arange(7))
-        assert same_partition(labels, oracles.kmeans_per_restart(points, 7, np.random.default_rng(0)))
+        expected = oracles.kmeans_per_restart(points, 7, np.random.default_rng(0))
+        assert same_partition(labels, expected)
 
 
 class TestDetectOutliers:
