@@ -53,10 +53,15 @@ def build_affinity(Z_star):
     Factor ``Z* = U S V^T`` (skinny, singular values up to
     ``SOLUTION_RANK_TOL * sigma_max`` dropped; from a certified sketch when
     Z* has low rank, see :func:`~lrr.linalg._low_rank_svd`), weight the
-    columns of U by sqrt(S), scale each row to unit length (zero rows stay
-    zero), and square the resulting Gram matrix entrywise:
+    columns of U by sqrt(S), scale each row to unit length, and square the
+    resulting Gram matrix entrywise:
 
         W_ij = ([U_tilde U_tilde^T]_ij)^2
+
+    A row whose norm is at most ``SOLUTION_RANK_TOL`` times the largest row
+    norm is roundoff, not a direction (the rows of outliers that ``E``
+    absorbs fall far below it): it is set to zero rather than scaled up, so
+    its sample gets no affinity and a permutation of the samples permutes W.
 
     Returns the n x n array W for an n-row input. Squaring makes every
     entry nonnegative, and the entries lie in [0, 1]. W is exactly symmetric
@@ -72,8 +77,9 @@ def build_affinity(Z_star):
             return np.zeros((n, n))
         U = f.U * np.sqrt(f.sigma)
         rn = np.linalg.norm(U, axis=1)
-        nz = rn > 0
+        nz = rn > SOLUTION_RANK_TOL * rn.max()
         U[nz] /= rn[nz, None]
+        U[~nz] = 0.0
         G = U @ U.T
         G = (G + G.T) / 2.0
         return G * G

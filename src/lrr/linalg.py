@@ -325,14 +325,14 @@ def _orthonormalize(Y):
     return _cholesky_qr(_cholesky_qr(Y))
 
 
-def _ritz_triplets(N, B, tau, fro):
-    """Rayleigh-Ritz on the basis ``B``: the triplets ``(U, s, V)`` of ``N``
-    with ``s > tau``, or ``None`` when they fail the residual check."""
-    m = N.shape[0]
-    U, s, Wt = _raw_svd(N @ B)
-    keep = s > tau
-    U, s, V = U[:, keep], s[keep], B @ Wt[keep].T
-    if s.size and np.abs(N.T @ U - V * s).max() > 4 * m * _EPS * fro:
+def _gram_triplets(N, w, V, tau, fro):
+    """The triplets ``(U, s, V)`` of ``N`` with ``s > tau``, largest first,
+    from ascending eigenpairs ``(w, V)`` of its Gram matrix: ``s = sqrt(w)``,
+    ``U = N V / s``; ``None`` when they fail the residual check."""
+    kept = np.flatnonzero(w > tau * tau)[::-1]
+    s, V = np.sqrt(w[kept]), V[:, kept]
+    U = (N @ V) / s
+    if s.size and np.abs(N.T @ U - V * s).max() > 4 * N.shape[0] * _EPS * fro:
         return None
     return U, s, V
 
@@ -362,7 +362,8 @@ def _certified_triplets(N, G, tau, fro, basis):
                     # the block cannot show where the kept values end
                     return None
                 Q, w_kept = Q[:, kept], w[kept]
-                residual = np.linalg.norm(GY @ Q - (Y @ Q) * w_kept, axis=0)
+                YQ = Y @ Q
+                residual = np.linalg.norm(GY @ Q - YQ * w_kept, axis=0)
                 excess = (residual / (target * np.sqrt(w_kept))).max(initial=0.0)
                 if excess <= 1.0 or steps == _WARM_STEPS:
                     break
@@ -379,7 +380,7 @@ def _certified_triplets(N, G, tau, fro, basis):
                     steps += 1
                 Y = _orthonormalize(GY)
                 steps += 1
-            found = _ritz_triplets(N, Y, tau, fro)
+            found = _gram_triplets(N, w_kept, YQ, tau, fro)
             if found is None:
                 return None
         else:
@@ -398,17 +399,15 @@ def _certified_triplets(N, G, tau, fro, basis):
 
 def _eigh_triplets(N, G, tau, fro):
     """The triplets above ``tau`` from the full eigendecomposition of the
-    Gram matrix ``G``, or from the full SVD when its basis is not accurate
-    enough."""
+    Gram matrix ``G``, or from the full SVD when an eigenvalue lies too
+    close under ``tau^2`` or the kept pairs fail the residual check."""
     m, n = N.shape
     try:
-        w, B = np.linalg.eigh(G)
+        w, V = np.linalg.eigh(G)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed on a {n}x{n} Gram matrix") from exc
-    B = B[:, w > tau * tau - (m + n) * _EPS * fro * fro]
-    if not B.shape[1]:
-        return np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
-    found = _ritz_triplets(N, B, tau, fro)
+    unsure = ((w <= tau * tau) & (w > tau * tau - (m + n) * _EPS * fro * fro)).any()
+    found = None if unsure else _gram_triplets(N, w, V, tau, fro)
     if found is None:
         U, s, Vt = _raw_svd(N)
         keep = s > tau
@@ -453,8 +452,9 @@ def svt_with_nuclear(M, theta, basis=None):
       residuals ``||G y - w y|| / sqrt(w) <= m eps ||N||_F / 4``, a
       sixteenth of the bound of the residual check below (``N^T u - s v =
       (G v - s^2 v) / s``). Only a passing check, or the check of step 30,
-      ends the iteration; the block then goes through the Rayleigh-Ritz SVD
-      and residual check of steps 2 and 3. When every Ritz value exceeds
+      ends the iteration; the kept Ritz pairs ``(w, Y q)`` of that check
+      then give the triplets and go through the residual check, as the
+      ``eigh`` pairs do in steps 2 and 3. When every Ritz value exceeds
       ``tau^2``, the block cannot show where the kept values end, and the
       candidate fails at once.
     - Check schedule: a failed check estimates the steps still needed from
@@ -493,20 +493,18 @@ def svt_with_nuclear(M, theta, basis=None):
 
     The full path computes only the singular triplets above ``theta``:
 
-    1. ``eigh`` of ``G``. Its eigenvectors with eigenvalue above
-       ``tau^2 - (m + n) eps ||N||_F^2`` span the kept basis ``B``. The
-       margin bounds the rounding of the Gram product (``m eps ||N||_F^2``)
-       plus the backward error of ``eigh`` (``n eps lambda_max <= n eps
-       ||N||_F^2``), so no singular value above ``theta`` is cut. An empty
-       basis means a zero result.
-    2. Rayleigh-Ritz: the SVD ``N B = U S W^T`` gives the singular values
-       and ``U`` accurately, with ``V = B W``; ``N V = U S`` then holds to
-       the SVD's own roundoff.
-    3. The triplets with ``s > tau`` are checked by their other residual,
-       ``||N^T U - V S||_inf <= 4 m eps ||N||_F``. It is large only when
-       ``B`` misses part of the leading row space, as when the kept singular
-       values sit near the ``eigh`` noise floor ``sqrt(eps) sigma_max``;
-       the full SVD of ``N`` then answers instead.
+    1. ``eigh`` of ``G``; its pairs ``(w, v)`` with ``w > tau^2`` are kept,
+       none meaning a zero result. A ``w`` within ``(m + n) eps ||N||_F^2``
+       under ``tau^2`` (the rounding of ``G`` plus the backward error of
+       ``eigh``) may belong to a value above ``tau``: the full SVD of ``N``
+       answers.
+    2. Each kept pair gives ``s = sqrt(w)``, with an error of about ``eps
+       sigma_max^2 / s``, and ``u = N v / s``, so ``N V = U S`` holds.
+    3. The residual check ``||N^T U - V S||_inf <= 4 m eps ||N||_F``
+       (``N^T u - s v = (G v - w v) / s``) puts each kept ``s`` within its
+       residual of a singular value of ``N``. It fails when a kept value
+       sits near the ``eigh`` noise floor ``sqrt(eps) sigma_max`` or ``v``
+       is inaccurate; the full SVD of ``N`` then answers.
 
     The result equals the full-SVD threshold to roundoff on every path.
     """

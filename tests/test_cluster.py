@@ -3,7 +3,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from lrr import cluster, metrics, solver, synth
+from lrr import cluster, metrics, recipes, solver, synth
 
 import oracles
 
@@ -303,3 +303,33 @@ class TestSegmentPipeline:
         assert res.spectrum is not None and res.spectrum.size == 24
         assert not hasattr(res, "outliers")  # a step of its own
         assert cluster.detect_outliers(res.solution.E, 0.3).size == 0
+
+
+@pytest.fixture(scope="module")
+def fig4_segmentation():
+    # fig4 seed 0: 5 rank-4 subspaces of R^200 and 50 outliers, which the
+    # lambda = 0.25 solve moves into E; their rows of Z are roundoff
+    ds = recipes.make_fig4_dataset(0)
+    return ds, cluster.segment(ds.X, "auto", "l21", solver.SolverOptions(lam=0.25))
+
+
+class TestOutlierAffinity:
+    def test_outlier_rows_are_zero(self, fig4_segmentation):
+        ds, res = fig4_segmentation
+        W = res.affinity
+        assert not W[ds.outlier_indices].any() and not W[:, ds.outlier_indices].any()
+        assert W[ds.authentic_indices()].any(axis=1).all()
+
+    def test_affinity_permutes(self, fig4_segmentation):
+        # scaled to unit length, the roundoff rows gave the outliers
+        # affinities of up to 0.48 that a permutation moved by up to 7e-4
+        _, res = fig4_segmentation
+        P = np.random.default_rng(0).permutation(res.affinity.shape[0])
+        W = cluster.build_affinity(res.solution.Z[P][:, P])
+        assert np.abs(W - res.affinity[P][:, P]).max() <= 1e-10
+
+    def test_auto_k_finds_the_subspaces(self, fig4_segmentation):
+        ds, res = fig4_segmentation
+        auth = ds.authentic_indices()
+        assert res.k_hat == 5
+        assert metrics.segmentation_accuracy(res.labels[auth], ds.true_labels[auth]) == 1.0

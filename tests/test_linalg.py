@@ -415,31 +415,28 @@ class TestSvt:
         assert nuclear == 0.0
 
     @pytest.mark.parametrize("shape", [(60, 40), (40, 60)])
-    def test_svds_only_the_triplets_above_theta(self, shape, monkeypatch):
-        # rank 3 with theta between sigma_2 and sigma_3: the Rayleigh-Ritz
-        # SVD sees the few kept Gram eigenvectors, never all 40
+    def test_kept_triplets_take_no_svd(self, shape, monkeypatch):
+        # rank 3 with theta between sigma_2 and sigma_3: the kept triplets
+        # come straight from the Gram eigenpairs, with no SVD at all
         rng = np.random.default_rng(47)
         U = np.linalg.qr(rng.standard_normal((shape[0], 3)))[0]
         V = np.linalg.qr(rng.standard_normal((shape[1], 3)))[0]
         M = (U * [3.0, 2.0, 1.0]) @ V.T
-        shapes = []
-        real = linalg._raw_svd
 
-        def recorded_svd(A):
-            shapes.append(A.shape)
-            return real(A)
+        def no_svd(A, compute_uv=True):
+            raise AssertionError(f"an SVD of a {A.shape} matrix ran")
 
-        monkeypatch.setattr(linalg, "_raw_svd", recorded_svd)
-        J, nuclear, _ = linalg.svt_with_nuclear(M, 1.5)
-        assert shapes and all(min(s) <= 3 for s in shapes)
+        monkeypatch.setattr(linalg, "_raw_svd", no_svd)
+        J, nuclear, kept = linalg.svt_with_nuclear(M, 1.5)
+        assert kept.shape == (40, 2)
         J_ref, nuclear_ref = oracles.svt_by_full_svd(M, 1.5)
         assert np.abs(J - J_ref).max() <= 1e-12 * 3.0
         assert nuclear == pytest.approx(nuclear_ref, abs=1e-12 * 3.0)
 
     @pytest.mark.parametrize("shape", [(30, 12), (12, 30)])
     def test_residual_check_falls_back_to_full_svd(self, shape, monkeypatch):
-        # eigh hands back a basis rotated by ~1e-6: the Rayleigh-Ritz
-        # triplets fail the residual check and the full SVD answers
+        # eigh hands back a basis rotated by ~1e-6: the triplets taken from
+        # it fail the residual check, and one full SVD of N answers
         rng = np.random.default_rng(53)
         M = rand(shape, 59)
         theta = 0.5 * np.linalg.norm(M, 2)
@@ -452,18 +449,49 @@ class TestSvt:
         shapes = []
         real_svd = linalg._raw_svd
 
-        def recorded_svd(A):
+        def recorded_svd(A, compute_uv=True):
             shapes.append(A.shape)
-            return real_svd(A)
+            return real_svd(A, compute_uv)
 
         monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh)
         monkeypatch.setattr(linalg, "_raw_svd", recorded_svd)
         J, nuclear, _ = linalg.svt_with_nuclear(M, theta)
-        assert len(shapes) == 2 and shapes[0][1] < 12 and shapes[1] == (30, 12)
+        assert shapes == [(30, 12)]
         J_ref, nuclear_ref = oracles.svt_by_full_svd(M, theta)
         smax = np.linalg.norm(M, 2)
         assert np.abs(J - J_ref).max() <= 1e-12 * smax
         assert nuclear == pytest.approx(nuclear_ref, abs=1e-12 * smax)
+
+    @pytest.mark.parametrize("shape", [(30, 12), (12, 30)])
+    def test_eigenvalue_near_theta_squared_falls_back_to_full_svd(self, shape, monkeypatch):
+        # sigma = (1, 2e-8), theta = 1e-8: eigh may return sigma_2^2 = 4e-16
+        # on either side of theta^2, within its backward error; on the low
+        # side the value cannot be dropped unchecked, and one full SVD of N
+        # answers
+        rng = np.random.default_rng(97)
+        U = np.linalg.qr(rng.standard_normal((shape[0], 2)))[0]
+        V = np.linalg.qr(rng.standard_normal((shape[1], 2)))[0]
+        M = (U * [1.0, 2e-8]) @ V.T
+        real_eigh = np.linalg.eigh
+
+        def rounded_eigh(G):
+            w, B = real_eigh(G)
+            return np.where(w < 1e-12 * w[-1], -np.abs(w), w), B
+
+        shapes = []
+        real_svd = linalg._raw_svd
+
+        def recorded_svd(A, compute_uv=True):
+            shapes.append(A.shape)
+            return real_svd(A, compute_uv)
+
+        monkeypatch.setattr(np.linalg, "eigh", rounded_eigh)
+        monkeypatch.setattr(linalg, "_raw_svd", recorded_svd)
+        J, nuclear, _ = linalg.svt_with_nuclear(M, 1e-8)
+        assert shapes == [(30, 12)]
+        J_ref, nuclear_ref = oracles.svt_by_full_svd(M, 1e-8)
+        assert np.abs(J - J_ref).max() <= 1e-12
+        assert nuclear == pytest.approx(nuclear_ref, abs=1e-12)
 
     def test_overflowing_frobenius_norm_still_thresholds(self):
         # entries of 1e160 are finite but ||M||_F overflows when computed

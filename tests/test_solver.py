@@ -636,6 +636,23 @@ class TestSolveLrrSelf:
         assert sum(eighs) <= sum(nonzero) // 4
         assert sum(eighs) <= 2 and len(eighs) - sum(eighs) <= 554 // 2
 
+    def test_svt_takes_fig4_triplets_without_svd(self, monkeypatch):
+        # every looped sweep of the fig4 solve (200x250, rank 70) thresholds
+        # a 70x70 Gram matrix and keeps its triplets from the eigh; an SVT
+        # that fell back to the full SVD would add an SVD with U here
+        X = recipes.make_fig4_dataset(0).X
+        real_svd = linalg._raw_svd
+        calls = []
+
+        def recorded_svd(M, compute_uv=True):
+            calls.append((M.shape, compute_uv))
+            return real_svd(M, compute_uv)
+
+        monkeypatch.setattr(linalg, "_raw_svd", recorded_svd)
+        sol = solver.solve_lrr_self(X, "l21", solver.SolverOptions(lam=0.25))
+        assert sol.converged and sol.iterations > sol.warm_sweeps
+        assert [shape for shape, uv in calls if uv] == [X.shape]
+
 
 def plain_self_l21(X, opts):
     """The ``l21`` problem that ``solve_lrr_self`` solves, on ``(S V^T,
