@@ -321,8 +321,8 @@ class TestOutlierAffinity:
         assert W[ds.authentic_indices()].any(axis=1).all()
 
     def test_affinity_permutes(self, fig4_segmentation):
-        # scaled to unit length, the roundoff rows gave the outliers
-        # affinities of up to 0.48 that a permutation moved by up to 7e-4
+        # the outliers' rows of Z are roundoff; scaled to unit length they
+        # would give affinities of up to 0.48 that a permutation moves by 7e-4
         _, res = fig4_segmentation
         P = np.random.default_rng(0).permutation(res.affinity.shape[0])
         W = cluster.build_affinity(res.solution.Z[P][:, P])
