@@ -12,10 +12,7 @@ from .linalg import (
     SkinnySvd,
     column_shrink,
     entry_shrink,
-    norm,
-    pseudoinverse,
     skinny_svd,
-    svt,
 )
 from .solver import (
     ERROR_MODELS,

@@ -2,7 +2,8 @@
 
 
 class NumericalError(RuntimeError):
-    """A matrix factorization failed to converge."""
+    """A matrix factorization failed to converge, a residual, objective or
+    SVT input is not finite, or ``I + A^T A`` overflows; the CLI exits 3."""
 
 
 class DegenerateInputError(ValueError):

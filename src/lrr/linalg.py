@@ -1,6 +1,6 @@
-"""Dense-matrix primitives: skinny SVD, pseudoinverse, matrix norms, and the
-proximal operators (singular-value thresholding, column/entry shrinkage) that
-the nuclear-norm solvers are assembled from.
+"""Dense-matrix primitives: the skinny SVD and the proximal operators
+(singular-value thresholding, column/entry shrinkage) that the
+nuclear-norm solvers are assembled from.
 
 All functions are pure: they never mutate their arguments and hold no state,
 so they are safe to call concurrently. The one piece of state in the module
@@ -18,8 +18,6 @@ import threading
 import numpy as np
 
 from .errors import NumericalError
-
-NORM_KINDS = ("l1", "l21", "frobenius", "spectral")
 
 _EPS = np.finfo(np.float64).eps
 _SQRT_EPS = math.sqrt(_EPS)
@@ -265,35 +263,6 @@ def _low_rank_svd(M, rank_tol=None):
     return skinny_svd(M, rank_tol)
 
 
-def pseudoinverse(M):
-    """Moore-Penrose pseudoinverse ``V @ diag(1/sigma) @ U.T`` from the
-    skinny SVD. The zero matrix maps to the (transposed-shape) zero matrix."""
-    f = skinny_svd(M)
-    return (f.V / f.sigma) @ f.U.T if f.rank else np.zeros((f.V.shape[0], f.U.shape[0]))
-
-
-def norm(M, kind):
-    """Matrix norm of ``M``.
-
-    ``kind`` is one of:
-
-    - ``l1``        sum of absolute entries
-    - ``l21``       sum of column-wise Euclidean norms
-    - ``frobenius`` square root of the sum of squared entries
-    - ``spectral``  largest singular value
-    """
-    M = as_matrix(M)
-    if kind == "l1":
-        return float(np.abs(M).sum())
-    if kind == "l21":
-        return float(np.linalg.norm(M, axis=0).sum())
-    if kind == "frobenius":
-        return float(np.linalg.norm(M))
-    if kind == "spectral":
-        return float(_raw_svd(M, compute_uv=False)[0])
-    raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
-
-
 # Extra vectors appended to the previous basis in the warm start, so that a
 # singular value crossing theta between sweeps is caught.
 _WARM_EXTRA = 8
@@ -419,13 +388,15 @@ def svt_with_nuclear(M, theta, basis=None):
     """Singular-value thresholding plus the nuclear norm of the result.
 
     Shrinks every singular value by ``theta`` (clamping at zero) and
-    reconstructs. Returns ``(J, nuclear, V)``: the result; its nuclear norm
-    ``sum(max(sigma_i - theta, 0))``, which comes for free; and the kept
-    right singular basis ``V`` of ``M`` (of ``M^T`` when ``M`` is wide), with
-    one column per kept value and ``min(M.shape)`` rows. ``basis`` is such a
-    ``V`` from a previous call on a nearby matrix of the same shape, as in
-    consecutive sweeps of a solver. It only selects how the answer is
-    found: a bad basis can cost time, never accuracy.
+    reconstructs: the proximal operator of the nuclear norm, the minimizer
+    of ``theta ||J||_* + ||J - M||_F^2 / 2``. Returns ``(J, nuclear, V)``:
+    the result; its nuclear norm ``sum(max(sigma_i - theta, 0))``, which
+    comes for free; and the kept right singular basis ``V`` of ``M`` (of
+    ``M^T`` when ``M`` is wide), with one column per kept value and
+    ``min(M.shape)`` rows. ``basis`` is such a ``V`` from a previous call
+    on a nearby matrix of the same shape, as in consecutive sweeps of a
+    solver. It only selects how the answer is found: a bad basis can cost
+    time, never accuracy.
 
     ``M`` is scaled by its largest absolute entry ``peak``: ``N = M / peak``,
     turned to have at least as many rows as columns, has an entry of
@@ -538,17 +509,6 @@ def svt_with_nuclear(M, theta, basis=None):
     t = (s - tau) * peak
     J = (V * t) @ U.T if wide else (U * t) @ V.T
     return J, float(t.sum()), V
-
-
-def svt(M, theta):
-    """Singular-value thresholding ``U diag(max(sigma - theta, 0)) V^T``.
-
-    This is the proximal operator of the nuclear norm: the unique minimizer
-    of ``theta * ||J||_* + 0.5 * ||J - M||_F^2``.
-    """
-    if not theta >= 0:
-        raise ValueError(f"theta must be nonnegative, got {theta}")
-    return svt_with_nuclear(as_matrix(M), theta)[0]
 
 
 def column_shrink(Q, alpha):

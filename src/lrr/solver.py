@@ -7,8 +7,8 @@ The main entry point is :func:`solve_lrr`, an inexact augmented-Lagrange
 
 where ``err`` is the column-wise l2,1 norm (sample-specific corruptions and
 outliers), the entrywise l1 norm (scattered corruptions), or the squared
-Frobenius norm (dense noise). :func:`solve_lrr_clean` is the closed-form
-pseudoinverse solution for error-free data, and :func:`solve_lrr_self` is the
+Frobenius norm (dense noise). :func:`solve_lrr_clean` is the closed form
+``pinv(A) X`` for error-free data, and :func:`solve_lrr_self` is the
 self-expressive mode (dictionary = data). There the squared-Frobenius
 model needs no iteration: its minimizer is a closed form in the skinny SVD
 of X. :func:`solve_lrr` keeps all three models for general dictionaries.
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, FeasibilityError, NumericalError
-from .linalg import as_matrix, norm, pseudoinverse, skinny_svd, svt_with_nuclear
+from .linalg import as_matrix, skinny_svd, svt_with_nuclear
 from .linalg import _EPS, _blas_threads, _column_shrink, _entry_shrink, _raw_svd
 
 ERROR_MODELS = ("l21", "l1", "frobenius_sq")
@@ -53,11 +53,11 @@ SOLUTION_RANK_TOL = 1e-4
 def error_norm(E, model):
     """The error penalty err(E) for the given model tag."""
     if model == "l21":
-        return norm(E, "l21")
+        return float(np.linalg.norm(E, axis=0).sum())
     if model == "l1":
-        return norm(E, "l1")
+        return float(np.abs(E).sum())
     if model == "frobenius_sq":
-        return norm(E, "frobenius") ** 2
+        return float(np.linalg.norm(E) ** 2)
     raise ValueError(f"unknown error model {model!r}; expected one of {ERROR_MODELS}")
 
 
@@ -445,10 +445,11 @@ def _fast_forward(s, Vt, opts):
 def solve_lrr_clean(X, A):
     """Closed-form solution ``Z* = pinv(A) @ X`` for error-free data.
 
-    Valid only when X lies in the column span of A, checked to relative
-    Frobenius tolerance 1e-6; otherwise raises ``FeasibilityError`` carrying
-    the relative residual. The result has the same rank as X and minimum
-    nuclear norm among all feasible representations.
+    Valid only when X lies in the column span of A, checked at any scale
+    to relative Frobenius tolerance 1e-6; otherwise raises
+    ``FeasibilityError`` carrying the relative residual. The result has the
+    same rank as X and minimum nuclear norm among all feasible
+    representations.
     """
     X = as_matrix(X, "X")
     A = as_matrix(A, "A")
@@ -457,10 +458,12 @@ def solve_lrr_clean(X, A):
     if not A.any():
         raise DegenerateInputError("dictionary A is the zero matrix")
     with _blas_threads(max(X.size, A.size)):
-        Z = pseudoinverse(A) @ X
-        x_scale = np.linalg.norm(X)
-        residual = np.linalg.norm(X - A @ Z)
-    rel = residual / x_scale if x_scale > 0 else 0.0
+        f = skinny_svd(A)
+        Z = ((f.V / f.sigma) @ f.U.T) @ X
+        del f  # the SVD, not the residual, then sets the peak memory
+        # norms of X / max|X| neither overflow nor underflow at any scale
+        peak = np.abs(X).max()
+        rel = np.linalg.norm((X - A @ Z) / peak) / np.linalg.norm(X / peak) if peak else 0.0
     if rel > 1e-6:
         raise FeasibilityError(
             f"X is not in span(A): relative residual {rel:.3e} exceeds 1e-6", rel

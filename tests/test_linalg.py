@@ -276,28 +276,37 @@ class TestLowRankSvd:
             linalg._low_rank_svd(np.eye(100), rank_tol)
 
 
+def pinv_by_clean_solve(M):
+    """``pinv(M)`` as :func:`~lrr.solver.solve_lrr_clean` applies it: the
+    clean solve of the projector ``U U^T`` onto range(M), which
+    ``pinv(M) U U^T = pinv(M)`` leaves unchanged."""
+    U = np.linalg.svd(M, full_matrices=False)[0][:, :np.linalg.matrix_rank(M)]
+    return solver.solve_lrr_clean(U @ U.T, M)
+
+
 class TestPseudoinverse:
     def test_identity(self):
-        np.testing.assert_allclose(linalg.pseudoinverse(np.eye(3)), np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(pinv_by_clean_solve(np.eye(3)), np.eye(3), atol=1e-12)
 
     def test_orthonormal_columns_transpose(self):
         U = np.linalg.qr(rand((5, 2), 4))[0]
-        np.testing.assert_allclose(linalg.pseudoinverse(U), U.T, atol=1e-10)
+        np.testing.assert_allclose(pinv_by_clean_solve(U), U.T, atol=1e-10)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_moore_penrose_conditions_rank_deficient(self, seed):
         M = rand((5, 3), seed) @ rand((3, 5), seed + 50)
-        P = linalg.pseudoinverse(M)
+        P = pinv_by_clean_solve(M)
         assert oracles.moore_penrose_violations(M, P) < 1e-8
 
     def test_involution(self):
         M = rand((6, 4), 7)
-        back = linalg.pseudoinverse(linalg.pseudoinverse(M))
+        back = pinv_by_clean_solve(pinv_by_clean_solve(M))
         assert np.linalg.norm(back - M) <= 1e-8 * np.linalg.norm(M)
 
     def test_zero_matrix(self):
-        P = linalg.pseudoinverse(np.zeros((3, 5)))
-        assert P.shape == (5, 3) and not P.any()
+        # the zero dictionary is refused; a zero X has the zero solution
+        Z = solver.solve_lrr_clean(np.zeros((3, 5)), rand((3, 4), 8))
+        assert Z.shape == (4, 5) and not Z.any()
 
 
 def nuclear(M):
@@ -307,39 +316,42 @@ def nuclear(M):
 
 
 def norm_of_kind(M, kind):
-    return nuclear(M) if kind == "nuclear" else linalg.norm(M, kind)
+    return nuclear(M) if kind == "nuclear" else solver.error_norm(M, kind)
 
 
 class TestNorms:
     def test_diagonal_closed_forms(self):
         M = np.diag([3.0, -4.0])
-        assert linalg.norm(M, "l1") == pytest.approx(7.0)
-        assert linalg.norm(M, "l21") == pytest.approx(7.0)
-        assert linalg.norm(M, "frobenius") == pytest.approx(5.0)
+        assert solver.error_norm(M, "l1") == pytest.approx(7.0)
+        assert solver.error_norm(M, "l21") == pytest.approx(7.0)
+        assert solver.error_norm(M, "frobenius_sq") == pytest.approx(25.0)
         assert nuclear(M) == pytest.approx(7.0)
-        assert linalg.norm(M, "spectral") == pytest.approx(4.0)
 
     def test_zero_matrix_all_kinds(self):
-        for kind in linalg.NORM_KINDS:
-            assert linalg.norm(np.zeros((3, 2)), kind) == 0.0
+        for model in solver.ERROR_MODELS:
+            assert solver.error_norm(np.zeros((3, 2)), model) == 0.0
 
     def test_nuclear_against_full_svd_oracle(self):
         M = rand((4, 4), 11)
         assert nuclear(M) == pytest.approx(oracles.full_svd_nuclear(M), rel=1e-12)
 
     def test_unknown_kind(self):
-        for kind in ("l2", "nuclear", "linf"):
-            with pytest.raises(ValueError):
-                linalg.norm(np.eye(2), kind)
+        for kind in ("l2", "nuclear", "frobenius"):
+            with pytest.raises(ValueError, match="unknown error model"):
+                solver.error_norm(np.eye(2), kind)
 
-    @pytest.mark.parametrize("kind", linalg.NORM_KINDS + ("nuclear",))
+    @pytest.mark.parametrize("kind", solver.ERROR_MODELS + ("nuclear",))
     @pytest.mark.parametrize("seed", range(3))
     def test_triangle_inequality_and_homogeneity(self, kind, seed):
+        # frobenius_sq is the square of a norm: homogeneous of degree 2,
+        # and its square root obeys the triangle inequality
+        degree = 2 if kind == "frobenius_sq" else 1
         A = rand((5, 6), seed)
         B = rand((5, 6), seed + 100)
-        na, nb = norm_of_kind(A, kind), norm_of_kind(B, kind)
-        assert norm_of_kind(A + B, kind) <= na + nb + 1e-10
-        assert norm_of_kind(-2.5 * A, kind) == pytest.approx(2.5 * na, rel=1e-10)
+        na, nb, nab = (norm_of_kind(M, kind) for M in (A, B, A + B))
+        root = 1 / degree
+        assert nab ** root <= na ** root + nb ** root + 1e-10
+        assert norm_of_kind(-2.5 * A, kind) == pytest.approx(2.5 ** degree * na, rel=1e-10)
 
     def test_unitary_invariance_of_nuclear_norm(self):
         rng = np.random.default_rng(5)
@@ -352,10 +364,10 @@ class TestNorms:
 class TestSvt:
     def test_theta_zero_identity(self):
         M = rand((4, 5), 13)
-        np.testing.assert_allclose(linalg.svt(M, 0.0), M, atol=1e-12)
+        np.testing.assert_allclose(linalg.svt_with_nuclear(M, 0.0)[0], M, atol=1e-12)
 
     def test_diagonal_entrywise_shrink(self):
-        out = linalg.svt(np.diag([3.0, 1.0]), 2.0)
+        out = linalg.svt_with_nuclear(np.diag([3.0, 1.0]), 2.0)[0]
         np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_minimizes_svt_objective_vs_perturbations(self):
@@ -363,7 +375,7 @@ class TestSvt:
         theta = 0.7
         # the second input has ||M||_F = 0.9 theta: the zero certificate answers
         for M in (M, M * (0.9 * theta / np.linalg.norm(M))):
-            J = linalg.svt(M, theta)
+            J = linalg.svt_with_nuclear(M, theta)[0]
             assert oracles.beats_random_perturbations(
                 lambda W: oracles.svt_objective(W, M, theta), J, 200, 0.05, seed=3
             )
@@ -372,23 +384,15 @@ class TestSvt:
         for seed in range(5):
             M = rand((6, 4), seed)
             theta = 0.3
-            out = linalg.svt(M, theta)
+            out = linalg.svt_with_nuclear(M, theta)[0]
             s_in = np.linalg.svd(M, compute_uv=False)
             s_out = np.linalg.svd(out, compute_uv=False)
             assert (s_out > 1e-12).sum() <= (s_in > 1e-12).sum()
             expected = np.maximum(s_in - theta, 0.0).sum()
             assert oracles.full_svd_nuclear(out) == pytest.approx(expected, abs=1e-10)
 
-    def test_negative_theta_rejected(self):
-        with pytest.raises(ValueError):
-            linalg.svt(np.eye(2), -0.1)
-
-    def test_nan_theta_rejected(self):
-        with pytest.raises(ValueError, match="theta"):
-            linalg.svt(rand((3, 4), 7), np.nan)
-
     def test_infinite_theta_zeroes(self):
-        assert not linalg.svt(rand((3, 4), 7), np.inf).any()
+        assert not linalg.svt_with_nuclear(rand((3, 4), 7), np.inf)[0].any()
 
     def test_frobenius_certificate_skips_svd(self, monkeypatch):
         def no_svd(M):
@@ -512,7 +516,6 @@ class TestSvt:
         J, nuclear, _ = linalg.svt_with_nuclear(M, 0.0)
         np.testing.assert_allclose(J, M, rtol=0.0, atol=1e-12 * 3e-170)
         assert nuclear == pytest.approx(4e-170, rel=1e-12)
-        np.testing.assert_allclose(linalg.svt(M, 0.0), M, rtol=0.0, atol=1e-12 * 3e-170)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_raises(self, bad):

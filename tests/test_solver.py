@@ -471,6 +471,36 @@ class TestSolveLrrClean:
         with pytest.raises(DegenerateInputError):
             solver.solve_lrr_clean(np.ones((3, 2)), np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_feasibility_checked_at_any_scale(self, scale):
+        # the sums of squares of X overflow at 1e200 and underflow at 1e-200
+        A = rand((6, 2), 35) @ rand((2, 4), 36)
+        X = A @ rand((4, 3), 44)
+        Z_ref = solver.solve_lrr_clean(X, A)
+        Z = solver.solve_lrr_clean(scale * X, scale * A)
+        assert np.abs(Z - Z_ref).max() <= 1e-12 * np.abs(Z_ref).max()
+        with pytest.raises(FeasibilityError) as exc:
+            solver.solve_lrr_clean(scale * rand((6, 3), 37), scale * A)
+        assert 1e-6 < exc.value.residual < 2.0
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(2, 20), st.integers(2, 20), st.integers(1, 10),
+                      st.integers(-150, 150), st.integers(0, 2**32 - 1))
+    def test_matches_numpy_pseudoinverse_on_rank_deficient_dictionaries(self, d, n, m,
+                                                                         exponent, seed):
+        # A = Q1 diag(s) Q2^T of rank below min(d, n), singular values
+        # within three decades, scaled by 10^exponent; X = A B is in span(A)
+        rng = np.random.default_rng(seed)
+        r = int(rng.integers(1, min(d, n)))
+        Q1 = np.linalg.qr(rng.standard_normal((d, r)))[0]
+        Q2 = np.linalg.qr(rng.standard_normal((n, r)))[0]
+        A = (Q1 * 10.0 ** rng.uniform(-3.0, 0.0, r)) @ Q2.T * 10.0 ** exponent
+        X = A @ rng.standard_normal((n, m))
+        Z = solver.solve_lrr_clean(X, A)
+        # numpy's pinv with the rank cut of skinny_svd
+        ref = np.linalg.pinv(A, rcond=max(A.shape) * np.finfo(float).eps) @ X
+        assert np.abs(Z - ref).max() <= 1e-10 * np.abs(ref).max()
+
     def test_rank_preserved(self):
         A = rand((8, 5), 38)
         X = A @ rand((5, 6), 39) @ np.diag([1, 1, 1, 0, 0, 0])  # rank 3 inside span(A)
