@@ -2,6 +2,8 @@
 multi-subspace structure, with spectral segmentation, outlier detection,
 synthetic benchmark generators, and evaluation metrics."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DegenerateInputError,
     FeasibilityError,
@@ -21,7 +23,6 @@ from .solver import (
     reduce_dictionary,
     solve_lrr,
     solve_lrr_clean,
-    solve_lrr_reduced,
     solve_lrr_self,
 )
 from .cluster import (
@@ -51,4 +52,6 @@ from .metrics import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names imported above, without the submodules that the imports bind.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

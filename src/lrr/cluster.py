@@ -85,35 +85,36 @@ def build_affinity(Z_star):
         return G * G
 
 
-def _as_affinity_array(W):
+def _laplacian(W):
+    """``L = I - D^{-1/2} W D^{-1/2}`` of the square affinity array ``W``
+    with its diagonal zeroed, and the mask of samples with positive degree
+    (a zero-degree sample keeps a unit row of L). Self-affinities play no
+    part in a cut: unit self-loops would account for a large share of each
+    degree and blur the eigenstructure of weakly connected blocks."""
     W = as_matrix(W, "W")
     if W.shape[0] != W.shape[1]:
         raise ValueError(f"affinity must be square, got {W.shape}")
-    return W
-
-
-def _normalized_laplacian(W):
-    """``I - D^{-1/2} W D^{-1/2}`` of an affinity array that
-    :func:`_as_affinity_array` has checked, and the mask of samples with
-    positive degree."""
+    W = W.copy()
+    np.fill_diagonal(W, 0.0)
     deg = W.sum(axis=1)
     inv_sqrt = np.zeros_like(deg)
     pos = deg > 0
-    inv_sqrt[pos] = 1.0 / np.sqrt(deg[pos])  # isolated nodes stay at 0
+    inv_sqrt[pos] = 1.0 / np.sqrt(deg[pos])
     L = np.eye(W.shape[0]) - (inv_sqrt[:, None] * W) * inv_sqrt[None, :]
     return (L + L.T) / 2.0, pos
 
 
 def laplacian_spectrum(W):
-    """Singular values of ``L = I - D^{-1/2} W D^{-1/2}`` as an array sorted
-    non-decreasing, one per sample.
+    """Singular values of the normalized Laplacian of ``W`` (without its
+    diagonal, see :func:`_laplacian`) as an array sorted non-decreasing,
+    one per sample.
 
     L is symmetric positive semidefinite, so its singular values are its
     eigenvalues; tiny negative eigenvalues from roundoff are folded back by
     absolute value. For an affinity with entries in [0, 1] every value lies
     in [0, 2] up to roundoff.
     """
-    L, _ = _normalized_laplacian(_as_affinity_array(W))
+    L, _ = _laplacian(W)
     return np.sort(np.abs(np.linalg.eigvalsh(L)))
 
 
@@ -240,30 +241,28 @@ def ncut_segment(W, k, seed=0):
     array ``W`` into ``k`` clusters; returns n integer labels.
 
     Embeds the samples with the k eigenvectors of the normalized Laplacian
-    belonging to the smallest eigenvalues, scales the rows to unit length,
-    and clusters with seeded k-means: ``KMEANS_RESTARTS`` restarts from a
-    greedy farthest-point initialization, run side by side as one batch;
-    the restart with the lowest within-cluster sum of squares wins, and
-    the first restart on a tie. Isolated (zero-degree) samples all join
-    the cluster that k-means labelled last. Cluster ids are then numbered
-    by first appearance (sample 0 is in cluster 0, the next new cluster is
-    1, ...), so the ids do not depend on which basis of a repeated
-    eigenvalue ``eigh`` returns.
-
-    Self-affinities play no part in a cut, so the diagonal of W is zeroed
-    before the Laplacian is formed; with unit self-affinities the loops
-    would account for a large share of each degree and blur the
-    eigenstructure of weakly connected blocks.
+    (that of :func:`laplacian_spectrum`, without W's diagonal) belonging to
+    the smallest eigenvalues, scales the rows to unit length, and clusters
+    with seeded k-means: ``KMEANS_RESTARTS`` restarts from a greedy
+    farthest-point initialization, run side by side as one batch; the
+    restart with the lowest within-cluster sum of squares wins, and the
+    first restart on a tie. Isolated (zero-degree) samples all join the
+    cluster that k-means labelled last. Cluster ids are then numbered by
+    first appearance (sample 0 is in cluster 0, the next new cluster is 1,
+    ...), so the ids do not depend on which basis of a repeated eigenvalue
+    ``eigh`` returns.
     """
-    W = _as_affinity_array(W)
-    n = W.shape[0]
-    _check_k(k, n)
+    L, connected = _laplacian(W)
+    _check_k(k, L.shape[0])
+    return _cut(np.linalg.eigh(L)[1] if k > 1 else None, connected, k, seed)
+
+
+def _cut(vecs, connected, k, seed):
+    """The labels of :func:`ncut_segment` from the Laplacian's eigenvectors
+    ``vecs`` (columns in non-decreasing eigenvalue order; not read when k
+    is 1) and its mask of samples with positive degree."""
     if k == 1:
-        return np.zeros(n, dtype=int)
-    W = W.copy()
-    np.fill_diagonal(W, 0.0)
-    L, connected = _normalized_laplacian(W)
-    _, vecs = np.linalg.eigh(L)
+        return np.zeros(connected.size, dtype=int)
     emb = vecs[:, :k].copy()
     rn = np.linalg.norm(emb, axis=1)
     nz = rn > 0
@@ -306,15 +305,12 @@ def segment(X, k, model="l21", opts=None, tau=DEFAULT_TAU, seed=0):
     with _blas_threads(X.size):
         sol = solve_lrr_self(X, model, opts)
         W = build_affinity(sol.Z)
-        spectrum = laplacian_spectrum(W)
+        # one eigendecomposition gives the spectrum and the cut
+        L, connected = _laplacian(W)
+        vals, vecs = np.linalg.eigh(L)
+        spectrum = np.sort(np.abs(vals))
         k_hat = estimate_k(spectrum, tau)
         k_used = k_hat if auto else k
-        labels = ncut_segment(W, k_used, seed)
-    return SegmentationResult(
-        labels=labels,
-        k=k_used,
-        k_hat=k_hat,
-        solution=sol,
-        affinity=W,
-        spectrum=spectrum,
-    )
+        labels = _cut(vecs, connected, k_used, seed)
+    return SegmentationResult(labels=labels, k=k_used, k_hat=k_hat, solution=sol,
+                              affinity=W, spectrum=spectrum)

@@ -182,14 +182,15 @@ def roc_by_threshold_sweep(scores, truth):
 
 
 def laplacian_spectrum_oracle(W):
-    """Normalized-Laplacian spectrum computed independently (dense eigh on
-    an explicitly assembled matrix)."""
+    """Normalized-Laplacian spectrum of W without its diagonal, computed
+    independently (dense eigh on an explicitly assembled matrix)."""
     W = np.asarray(W, dtype=float)
+    W = W - np.diag(np.diag(W))
     deg = W.sum(axis=1)
     with np.errstate(divide="ignore"):
         inv = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
     L = np.eye(W.shape[0]) - np.diag(inv) @ W @ np.diag(inv)
-    return np.sort(np.abs(np.linalg.eigvalsh((L + L.T) / 2)))
+    return np.sort(np.abs(np.linalg.eigh((L + L.T) / 2)[0]))
 
 
 def subgradient_objective(Z, E, lam):

@@ -1,3 +1,5 @@
+import sys
+
 import hypothesis
 import hypothesis.strategies as st
 import numpy as np
@@ -71,9 +73,18 @@ class TestBuildAffinity:
 
 
 class TestLaplacianSpectrum:
-    def test_identity_affinity_all_zero(self):
-        spec = cluster.laplacian_spectrum(np.eye(5))
-        np.testing.assert_allclose(spec, np.zeros(5), atol=1e-12)
+    def test_diagonal_plays_no_part(self):
+        # W = I is a graph of isolated samples: every value is 1
+        np.testing.assert_allclose(cluster.laplacian_spectrum(np.eye(5)), np.ones(5),
+                                   atol=1e-12)
+        W = cluster.build_affinity(rand((8, 8), 3))
+        base = cluster.laplacian_spectrum(W)
+        rng = np.random.default_rng(4)
+        for diag in (np.zeros(8), np.ones(8), rng.uniform(0, 1, 8)):
+            np.fill_diagonal(W, diag)
+            np.testing.assert_allclose(cluster.laplacian_spectrum(W), base, atol=1e-12)
+            np.testing.assert_allclose(oracles.laplacian_spectrum_oracle(W), base,
+                                       atol=1e-12)
 
     def test_two_blocks_two_zeros(self):
         spec = cluster.laplacian_spectrum(block_affinity(4, 4))
@@ -262,6 +273,31 @@ class TestDetectOutliers:
             cluster.detect_outliers(np.ones((2, 2)), 0.0)
 
 
+def spy_cluster_eigen_calls(monkeypatch):
+    """The list that records the name and input shape of every
+    ``np.linalg.eigh``/``eigvalsh`` call made from ``lrr.cluster``."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def spy(a, *args, _real=real, _name=name, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == cluster.__name__:
+                calls.append((_name, np.shape(a)))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+def assert_one_graph(res):
+    """The spectrum and the labels of a segment result (default tau, seed
+    0) are those of the public stages run on its affinity."""
+    spectrum = cluster.laplacian_spectrum(res.affinity)
+    np.testing.assert_allclose(res.spectrum, spectrum, rtol=0, atol=1e-12)
+    assert cluster.estimate_k(spectrum) == res.k_hat
+    assert np.array_equal(res.labels, cluster.ncut_segment(res.affinity, res.k, 0))
+
+
 @pytest.fixture(scope="module")
 def clean3():
     ens = synth.gen_ensemble(3, 2, 30, mode="independent", seed=21)
@@ -295,6 +331,16 @@ class TestSegmentPipeline:
         res = cluster.segment(ds.X, 3, "l21", solver.SolverOptions(lam=0.4))
         assert np.array_equal(cluster.detect_outliers(res.solution.E, 0.3),
                               ds.outlier_indices)
+
+    def test_spectrum_and_cut_share_one_eigendecomposition(self, clean3, monkeypatch):
+        calls = spy_cluster_eigen_calls(monkeypatch)
+        res = cluster.segment(clean3.X, "auto", "l21", solver.SolverOptions(lam=1e3))
+        assert calls == [("eigh", (24, 24))]
+        assert_one_graph(res)
+        calls.clear()
+        cluster.laplacian_spectrum(res.affinity)
+        cluster.ncut_segment(res.affinity, 1)
+        assert calls == [("eigvalsh", (24, 24))]
 
     def test_diagnostics_recorded(self, clean3):
         res = cluster.segment(clean3.X, 3, "l21", solver.SolverOptions(lam=1e3))
@@ -333,3 +379,6 @@ class TestOutlierAffinity:
         auth = ds.authentic_indices()
         assert res.k_hat == 5
         assert metrics.segmentation_accuracy(res.labels[auth], ds.true_labels[auth]) == 1.0
+
+    def test_spectrum_and_cut_from_one_graph(self, fig4_segmentation):
+        assert_one_graph(fig4_segmentation[1])

@@ -228,6 +228,13 @@ class TestSolveLrr:
     def test_reduced_is_the_same_function(self):
         assert solver.solve_lrr_reduced is solver.solve_lrr
 
+    def test_package_exports_no_modules_and_no_alias(self):
+        import lrr
+
+        public = {name: getattr(lrr, name) for name in lrr.__all__}
+        assert "solve_lrr_reduced" not in public and public["solve_lrr"] is solver.solve_lrr
+        assert not [name for name, value in public.items() if isinstance(value, type(lrr))]
+
     def test_frobenius_model_one_sweep_matches_closed_form(self):
         X, A = rand((5, 7), 22), rand((5, 7), 23)
         opts = solver.SolverOptions(lam=0.8, max_iters=1)
